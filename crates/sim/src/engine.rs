@@ -225,7 +225,7 @@ pub struct Simulation<
 pub type PackedSimulation<P, A, D = PassThrough, O = NoOracle, B = NoProbe> =
     Simulation<P, A, D, O, B, crate::packed::PackedMailbox<<P as Protocol>::Msg>>;
 
-/// A [`Simulation`] on the adjacency-list
+/// A [`Simulation`] on the flat-arena
 /// [`SparseMailbox`](crate::sparse::SparseMailbox) plane — no n×n
 /// allocation ever, for sampling-based protocol families at very large
 /// `n`.
@@ -599,7 +599,10 @@ impl<
             self.arrival_scan.reset(n);
             mailbox.tally_offered(&mut self.arrival_scan);
         }
-        let (arrivals, delivery_stats) = self.delivery.deliver(round, mailbox, &self.ledger);
+        let (mut arrivals, delivery_stats) = self.delivery.deliver(round, mailbox, &self.ledger);
+        // The arrivals are final for the round: index them for the
+        // receivers' inbox reads (a no-op on the dense and packed planes).
+        arrivals.build_inbox_index();
         self.probe.phase_end(round, RoundPhase::Deliver);
         if B::WANTS_ARRIVALS {
             arrivals.scan_arrivals(&mut self.arrival_scan);

@@ -786,10 +786,13 @@ impl<M: Message> RoundMailbox<M> {
 ///
 /// The view is backend-polymorphic: the engine hands protocols the same
 /// `Inbox` type whether the round's messages live in the dense
-/// [`RoundMailbox`] or the bit-packed
-/// [`PackedMailbox`](crate::packed::PackedMailbox). The packed backend
+/// [`RoundMailbox`], the bit-packed
+/// [`PackedMailbox`](crate::packed::PackedMailbox) or the
+/// [`SparseMailbox`](crate::sparse::SparseMailbox). The packed backend
 /// additionally answers word-parallel threshold queries through
-/// [`Inbox::packed_match_count`].
+/// [`Inbox::packed_match_count`]; the sparse backend reads through the
+/// plane's receiver index and panics if that index is stale (see
+/// [`MessagePlane::build_inbox_index`](crate::plane::MessagePlane::build_inbox_index)).
 #[derive(Debug, Clone)]
 pub struct Inbox<'a, M> {
     backend: InboxBackend<'a, M>,
@@ -956,14 +959,14 @@ impl<'a, M: Message> Inbox<'a, M> {
                     .ok()
                     .map(|i| &entries[i].1)
             }
-            InboxBackend::Sparse(plane) => plane.resolve(sender, self.receiver),
+            InboxBackend::Sparse(plane) => plane.inbox_from(sender, self.receiver),
         }
     }
 
     /// Number of messages addressed to this receiver. On the packed
     /// backend this is a word-parallel popcount, O(n/64); on the sparse
-    /// backend it walks the receiver's adjacency,
-    /// O(|bases| + |devs(r)|).
+    /// backend it walks the receiver's index entries and the base
+    /// senders, O(|bases| + |devs(r)|).
     pub fn len(&self) -> usize {
         match &self.backend {
             InboxBackend::Dense(_) | InboxBackend::Sparse(_) => self.iter().count(),

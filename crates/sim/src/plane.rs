@@ -8,7 +8,7 @@
 //! [`RoundMailbox`], chosen statically per protocol family, so the
 //! default path compiles to the very same code it always did.
 //!
-//! Two planes implement the trait:
+//! Three planes implement the trait:
 //!
 //! * [`RoundMailbox`] — the dense broadcast-base + deviation-cell
 //!   mailbox (PR 3). General: any [`Message`] type, full by-reference
@@ -17,6 +17,10 @@
 //!   messages that fit a 32-bit code ([`crate::packed::PackedMessage`]),
 //!   with word-parallel popcount tallies. Binary-BA protocols opt in
 //!   for large-`n` throughput.
+//! * [`crate::sparse::SparseMailbox`] — one flat per-round arena of
+//!   deviation cells plus a receiver-major index built once per round
+//!   ([`MessagePlane::build_inbox_index`]); memory follows the traffic,
+//!   never `n × n`. The sampled protocols opt in for large `n`.
 //!
 //! # Semantics contract
 //!
@@ -116,7 +120,18 @@ pub trait MessagePlane<M: Message>: Default {
     /// included).
     fn is_silent(&self, sender: NodeId) -> bool;
 
-    /// View of all messages addressed to `receiver`.
+    /// Prepares the plane for inbox reads once the round's last
+    /// mutation is done; the engine calls it once per round, between
+    /// delivery and receive. The default does nothing — the dense and
+    /// packed planes resolve inboxes straight from their rows. The
+    /// sparse plane builds its receiver-major index here; any later
+    /// mutation invalidates it, and its inbox reads panic until the next
+    /// call.
+    fn build_inbox_index(&mut self) {}
+
+    /// View of all messages addressed to `receiver`. Reading a sparse
+    /// plane's inbox needs a current index
+    /// ([`MessagePlane::build_inbox_index`]).
     fn inbox(&self, receiver: NodeId) -> Inbox<'_, M>;
 
     /// Total point-to-point messages this round (see the counting

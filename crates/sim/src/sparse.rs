@@ -1,4 +1,5 @@
-//! Sparse message plane: per-sender adjacency with no n×n allocation.
+//! Sparse message plane: one flat per-round edge arena, no n×n
+//! allocation.
 //!
 //! The dense [`RoundMailbox`](crate::mailbox::RoundMailbox) stamps a flat
 //! `n × n` deviation arena the first time any sender deviates from pure
@@ -10,20 +11,58 @@
 //! n = 65,536 the dense arena is 4 Gi cells for a few hundred thousand
 //! live edges.
 //!
-//! [`SparseMailbox`] stores each sender's row as a **sorted deviation
-//! list** — `(receiver, cell)` pairs ordered by receiver — plus the same
-//! optional shared broadcast base the dense plane uses. Two sorted
-//! indices make the hot reads sublinear in `n`:
+//! # Layout
 //!
-//! * `base_senders`: the senders whose rows currently hold a broadcast
-//!   base, so a receiver's inbox never scans `n` rows to find them.
-//! * `by_receiver[r]`: the senders holding an explicit deviation cell
-//!   for receiver `r`, so inbox iteration is
-//!   O(|bases| + |devs(r)| · log dev_row) instead of O(n).
+//! [`SparseMailbox`] keeps each sender's row as an optional shared
+//! broadcast base (as in the dense plane) plus a run of **deviation
+//! cells** — `(receiver, Knocked | Msg)` — sorted by receiver. Every
+//! row's cells live in **one flat arena** shared by the whole round: a
+//! row is a `(start, len, cap)` range of it, `arena[start..start + len]`
+//! holding the live cells and `arena[start + len..start + cap]` vacant
+//! slack. Every slot is tagged with its owning sender (or `VACANT`), so
+//! the arena can be read in one linear pass without touching the rows.
 //!
-//! Memory is O(n + Σ deviations + Σ bases): **no n×n allocation ever**,
-//! which is the entire point — the e05 campaign runs this plane at
-//! n = 65,536 in tens of megabytes.
+//! * **Appends.** The engine installs emissions in ascending sender
+//!   order, so a fresh row opens at the arena tail and grows there one
+//!   slot at a time — the arena ends up sorted by sender, rows packed
+//!   back to back.
+//! * **Relocation.** A row edited *out of order* (a flight-queue drain,
+//!   an adversary override of a row installed earlier) that has no slack
+//!   left and no longer ends the arena moves to the tail with its
+//!   capacity doubled; its old range becomes vacant. Doubling makes the
+//!   moves amortized O(1) per inserted cell. Clearing a row keeps its
+//!   range as slack for a later refill.
+//! * **Reset.** [`SparseMailbox::reset`] clears the arena and the rows
+//!   it touched, keeping every allocation, so a pooled plane allocates
+//!   nothing per round after warm-up.
+//!
+//! # Receiver index
+//!
+//! Inbox reads are receiver-major. A sorted `base_senders` list names the
+//! rows that hold a broadcast base; a **CSR index** — `offsets[n + 1]`
+//! plus `(sender, slot)` entries — names every deviation cell per
+//! receiver in ascending sender order. The index is built **once per
+//! round** by [`SparseMailbox::build_inbox_index`] (the engine calls it
+//! through [`MessagePlane::build_inbox_index`] between delivery and
+//! receive): a counting sort over the arena, two linear passes. If any
+//! row was appended after a higher sender's, each receiver's entries are
+//! then sorted by sender, so the order never depends on the edit
+//! history. **Any mutation invalidates the index**, and the sparse
+//! inbox reads ([`Inbox::iter`], [`Inbox::from`], [`Inbox::len`]) assert
+//! that it is current — a stale index can never be read silently.
+//!
+//! # Complexity and memory
+//!
+//! Installing a cell costs a binary search within its row plus an O(1)
+//! amortized append (O(row length) for an insert into the middle of a
+//! row). The index build is O(n + arena slots); an inbox read is
+//! O(|bases| + |devs(r)|) with one arena access per deviation cell, and
+//! `from` is a binary search over the receiver's entries. Memory is
+//! O(n + Σ deviations + Σ bases) — the rows, the arena (live cells plus
+//! at most the slack and vacated slots of relocated rows), 4(n + 1)
+//! bytes of offsets and 8 bytes of index entry per cell: **no n×n
+//! allocation ever**, which is the entire point — the e05 campaign runs
+//! this plane at n = 65,536 in tens of megabytes.
 //!
 //! # Semantics contract
 //!
@@ -58,20 +97,47 @@ enum SparseCell<M> {
     Msg(M),
 }
 
+/// Sender tag of an arena slot that holds no live cell: row slack, or
+/// the abandoned range of a relocated or cleared row.
+const VACANT: u32 = u32::MAX;
+
+/// One arena slot: row `sender`'s deviation cell for `receiver`.
+#[derive(Debug, Clone)]
+struct Slot<M> {
+    /// The owning row, or [`VACANT`].
+    sender: u32,
+    receiver: u32,
+    cell: SparseCell<M>,
+}
+
+impl<M> Slot<M> {
+    fn vacant() -> Self {
+        Slot {
+            sender: VACANT,
+            receiver: 0,
+            cell: SparseCell::Knocked,
+        }
+    }
+}
+
 /// One sender's contribution to the round: an optional shared broadcast
-/// base plus a sorted per-receiver deviation list.
+/// base plus a receiver-sorted range of deviation cells in the arena.
 #[derive(Debug, Clone)]
 struct SparseRow<M> {
     base: Option<M>,
     /// Whether the row has deviated from pure broadcast this round —
     /// the sparse mirror of the dense row's `dense` flag. A row can be
-    /// deviated with an empty `devs` list (e.g. after a merge over a
-    /// silent row), and that state is observable: it makes the row
-    /// impure for [`SparseMailbox::broadcast_of`] / `take_broadcast`.
+    /// deviated with no cells (e.g. after a merge over a silent row),
+    /// and that state is observable: it makes the row impure for
+    /// [`SparseMailbox::broadcast_of`] / `take_broadcast`.
     deviated: bool,
-    /// Explicit deviation cells, sorted by receiver, at most one per
-    /// receiver.
-    devs: Vec<(u32, SparseCell<M>)>,
+    /// First arena slot of the row's range.
+    start: u32,
+    /// Live cells, `arena[start..start + len]`: sorted by receiver, at
+    /// most one per receiver.
+    len: u32,
+    /// Reserved slots; `arena[start + len..start + cap]` is vacant.
+    cap: u32,
     /// Countable messages in this row (see the counting convention).
     count: usize,
     /// Total bits of the counted messages.
@@ -80,8 +146,8 @@ struct SparseRow<M> {
     /// `max_dirty`.
     max_bits: usize,
     /// Set when a mutation removed or shrank a message that may have
-    /// held the row maximum; readers rescan the deviation list on
-    /// demand (and never memoize the result — see the module docs).
+    /// held the row maximum; readers rescan the row's cells on demand
+    /// (and never memoize the result — see the module docs).
     max_dirty: bool,
 }
 
@@ -90,7 +156,9 @@ impl<M> Default for SparseRow<M> {
         SparseRow {
             base: None,
             deviated: false,
-            devs: Vec::new(),
+            start: 0,
+            len: 0,
+            cap: 0,
             count: 0,
             bits: 0,
             max_bits: 0,
@@ -100,22 +168,29 @@ impl<M> Default for SparseRow<M> {
 }
 
 impl<M: Message> SparseRow<M> {
-    /// Binary-search position of receiver `r`'s deviation cell.
-    fn dev_index(&self, r: u32) -> Result<usize, usize> {
-        self.devs.binary_search_by_key(&r, |(k, _)| *k)
+    /// The row's live cells.
+    fn cells<'a>(&self, arena: &'a [Slot<M>]) -> &'a [Slot<M>] {
+        let start = self.start as usize;
+        &arena[start..start + self.len as usize]
+    }
+
+    /// Binary-search position of receiver `r`'s cell within the row.
+    fn dev_index(&self, arena: &[Slot<M>], r: u32) -> Result<usize, usize> {
+        self.cells(arena).binary_search_by_key(&r, |s| s.receiver)
     }
 
     /// The deviation cell for receiver `r`, if any.
-    fn dev(&self, r: u32) -> Option<&SparseCell<M>> {
-        self.dev_index(r).ok().map(|i| &self.devs[i].1)
+    fn dev<'a>(&self, arena: &'a [Slot<M>], r: u32) -> Option<&'a SparseCell<M>> {
+        let i = self.dev_index(arena, r).ok()?;
+        Some(&self.cells(arena)[i].cell)
     }
 
     /// The message receiver `r` gets from this row, if any.
-    fn effective(&self, r: u32) -> Option<&M> {
+    fn effective<'a>(&'a self, arena: &'a [Slot<M>], r: u32) -> Option<&'a M> {
         if !self.deviated {
             self.base.as_ref()
         } else {
-            match self.dev(r) {
+            match self.dev(arena, r) {
                 None => self.base.as_ref(),
                 Some(SparseCell::Knocked) => None,
                 Some(SparseCell::Msg(m)) => Some(m),
@@ -126,9 +201,9 @@ impl<M: Message> SparseRow<M> {
     /// `(counted, bits)` contribution of receiver `r` for a row owned
     /// by sender `me` — the base self-copy is free, explicit messages
     /// are not. Mirrors the dense row's `contribution`.
-    fn contribution(&self, me: u32, r: u32) -> (bool, usize) {
-        let via_base = !self.deviated || self.dev(r).is_none();
-        match self.effective(r) {
+    fn contribution(&self, arena: &[Slot<M>], me: u32, r: u32) -> (bool, usize) {
+        let via_base = !self.deviated || self.dev(arena, r).is_none();
+        match self.effective(arena, r) {
             None => (false, 0),
             Some(m) => {
                 if via_base && r == me {
@@ -140,23 +215,23 @@ impl<M: Message> SparseRow<M> {
         }
     }
 
-    /// The exact row maximum, rescanning the deviation list if a
-    /// removal dirtied the cached value. The result is *not* memoized
-    /// (see the module docs).
-    fn current_max(&self, n: usize) -> usize {
+    /// The exact row maximum, rescanning the row's cells if a removal
+    /// dirtied the cached value. The result is *not* memoized (see the
+    /// module docs).
+    fn current_max(&self, arena: &[Slot<M>], n: usize) -> usize {
         if !self.max_dirty {
             return self.max_bits;
         }
         // The base is still reachable iff some receiver has no explicit
         // deviation cell — the sparse mirror of the dense "lane has any
         // Inherit" check.
-        let mut max = if self.base.is_some() && (!self.deviated || self.devs.len() < n) {
+        let mut max = if self.base.is_some() && (!self.deviated || (self.len as usize) < n) {
             self.base.as_ref().map_or(0, Message::bit_size)
         } else {
             0
         };
-        for (_, cell) in &self.devs {
-            if let SparseCell::Msg(m) = cell {
+        for slot in self.cells(arena) {
+            if let SparseCell::Msg(m) = &slot.cell {
                 max = max.max(m.bit_size());
             }
         }
@@ -184,19 +259,33 @@ fn list_remove(list: &mut Vec<u32>, v: u32) {
     }
 }
 
-/// Sparse per-round message store: sorted per-sender deviation lists, a
-/// shared broadcast base per row, and receiver-side indices. See the
-/// module docs for layout, complexity, and the semantics contract.
+/// Sparse per-round message store: one flat arena of receiver-sorted
+/// deviation ranges, a shared broadcast base per row, and a
+/// receiver-major index built once per round. See the module docs for
+/// layout, complexity, and the semantics contract.
 #[derive(Debug, Clone)]
 pub struct SparseMailbox<M> {
     n: usize,
     rows: Vec<SparseRow<M>>,
+    /// Every row's deviation cells, each row one `(start, len, cap)`
+    /// range.
+    arena: Vec<Slot<M>>,
+    /// Highest sender that appended at the arena tail since the reset.
+    tail_sender: u32,
+    /// Whether arena order is ascending by sender — false once a row was
+    /// appended after a higher sender's row.
+    in_order: bool,
     /// Sorted sender IDs whose rows currently hold a broadcast base.
     base_senders: Vec<u32>,
-    /// Per receiver: sorted sender IDs holding an explicit deviation
-    /// cell for that receiver. Together with `base_senders` this makes
-    /// inbox resolution O(|bases| + |devs(r)|), never O(n).
-    by_receiver: Vec<Vec<u32>>,
+    /// CSR offsets: receiver `r`'s deviation cells are
+    /// `index[offsets[r]..offsets[r + 1]]`.
+    offsets: Vec<u32>,
+    /// `(sender, arena slot)` per deviation cell, receiver-major and
+    /// ascending by sender within each receiver.
+    index: Vec<(u32, u32)>,
+    /// Whether `offsets`/`index` describe the current cells; every
+    /// mutation clears it.
+    indexed: bool,
     count: usize,
     bits: usize,
     max_cache: usize,
@@ -212,8 +301,13 @@ impl<M> Default for SparseMailbox<M> {
         SparseMailbox {
             n: 0,
             rows: Vec::new(),
+            arena: Vec::new(),
+            tail_sender: 0,
+            in_order: true,
             base_senders: Vec::new(),
-            by_receiver: Vec::new(),
+            offsets: Vec::new(),
+            index: Vec::new(),
+            indexed: false,
             count: 0,
             bits: 0,
             max_cache: 0,
@@ -232,30 +326,23 @@ impl<M: Message> SparseMailbox<M> {
     }
 
     /// Empties the mailbox and (re)sizes it for an `n`-node network,
-    /// retaining every allocation (rows, deviation lists, indices) so
-    /// pooled mailboxes allocate nothing per round after warm-up.
+    /// retaining every allocation (rows, arena, indices) so pooled
+    /// mailboxes allocate nothing per round after warm-up.
     pub fn reset(&mut self, n: usize) {
         self.rows.truncate(n);
         for row in &mut self.rows {
             // Skip rows untouched since the last reset: after warm-up a
             // sparse round clears only the rows it actually used.
-            if row.base.is_some() || row.deviated || row.count != 0 {
-                row.base = None;
-                row.deviated = false;
-                row.devs.clear();
-                row.count = 0;
-                row.bits = 0;
-                row.max_bits = 0;
-                row.max_dirty = false;
+            if row.base.is_some() || row.deviated || row.count != 0 || row.cap != 0 {
+                *row = SparseRow::default();
             }
         }
         self.rows.resize_with(n, SparseRow::default);
-        self.by_receiver.truncate(n);
-        for list in &mut self.by_receiver {
-            list.clear();
-        }
-        self.by_receiver.resize_with(n, Vec::new);
+        self.arena.clear();
+        self.tail_sender = 0;
+        self.in_order = true;
         self.base_senders.clear();
+        self.indexed = false;
         self.n = n;
         self.count = 0;
         self.bits = 0;
@@ -268,14 +355,15 @@ impl<M: Message> SparseMailbox<M> {
         self.n
     }
 
-    /// Subtracts row `me` from the global counters and returns the
-    /// row's exact current maximum; pair with
-    /// [`SparseMailbox::end_edit`].
+    /// Subtracts row `me` from the global counters, invalidates the
+    /// receiver index, and returns the row's exact current maximum;
+    /// pair with [`SparseMailbox::end_edit`].
     fn begin_edit(&mut self, me: usize) -> usize {
+        self.indexed = false;
         let row = &self.rows[me];
         self.count -= row.count;
         self.bits -= row.bits;
-        row.current_max(self.n)
+        row.current_max(&self.arena, self.n)
     }
 
     /// Adds row `me` back into the global counters, propagating the
@@ -292,16 +380,19 @@ impl<M: Message> SparseMailbox<M> {
         }
     }
 
-    /// Empties row `me` and deregisters it from both indices. Must run
-    /// inside a `begin_edit`/`end_edit` pair.
+    /// Empties row `me` (keeping its arena range as slack) and
+    /// deregisters its base. Must run inside a `begin_edit`/`end_edit`
+    /// pair.
     fn clear_row(&mut self, me: usize) {
         let row = &mut self.rows[me];
         if row.base.is_some() {
             list_remove(&mut self.base_senders, me as u32);
         }
-        for (r, _) in row.devs.drain(..) {
-            list_remove(&mut self.by_receiver[r as usize], me as u32);
+        let start = row.start as usize;
+        for slot in &mut self.arena[start..start + row.len as usize] {
+            *slot = Slot::vacant();
         }
+        row.len = 0;
         row.base = None;
         row.deviated = false;
         row.count = 0;
@@ -310,15 +401,74 @@ impl<M: Message> SparseMailbox<M> {
         row.max_dirty = false;
     }
 
-    /// Installs (or replaces) receiver `r`'s deviation cell in row `me`,
-    /// keeping `by_receiver` in sync. Returns the replaced cell, if any.
-    fn put_dev(&mut self, me: usize, r: u32, cell: SparseCell<M>) -> Option<SparseCell<M>> {
+    /// Records that row `me` appends at the arena tail; an append after
+    /// a higher sender's row breaks the arena's sender order.
+    fn claim_tail(&mut self, me: u32) {
+        if me < self.tail_sender {
+            self.in_order = false;
+        } else {
+            self.tail_sender = me;
+        }
+    }
+
+    /// Ensures row `me` has room for `need` cells: a fresh row, or one
+    /// that ends the arena, grows in place at the tail; any other row
+    /// relocates its live cells to the tail with doubled capacity,
+    /// vacating its old range.
+    fn reserve(&mut self, me: usize, need: usize) {
+        let row = &self.rows[me];
+        let (start, len, cap) = (row.start as usize, row.len as usize, row.cap as usize);
+        if need <= cap {
+            return;
+        }
+        let tail = self.arena.len();
+        let in_place = cap == 0 || start + cap == tail;
+        let new_cap = if in_place { need } else { need.max(2 * cap) };
+        let new_start = if in_place { tail - cap } else { tail };
+        assert!(
+            new_start + new_cap < VACANT as usize,
+            "sparse arena outgrew u32 slot indices"
+        );
+        self.claim_tail(me as u32);
+        if !in_place {
+            self.arena.reserve(new_cap);
+            for i in start..start + len {
+                let slot = std::mem::replace(&mut self.arena[i], Slot::vacant());
+                self.arena.push(slot);
+            }
+        }
+        self.arena.resize_with(new_start + new_cap, Slot::vacant);
         let row = &mut self.rows[me];
-        match row.dev_index(r) {
-            Ok(i) => Some(std::mem::replace(&mut row.devs[i].1, cell)),
+        row.start = new_start as u32;
+        row.cap = new_cap as u32;
+    }
+
+    /// Inserts receiver `r`'s cell at sorted position `pos` of row `me`.
+    fn insert_cell(&mut self, me: usize, pos: usize, r: u32, cell: SparseCell<M>) {
+        let len = self.rows[me].len as usize;
+        self.reserve(me, len + 1);
+        let row = &mut self.rows[me];
+        row.len += 1;
+        let start = row.start as usize;
+        self.arena[start + len] = Slot {
+            sender: me as u32,
+            receiver: r,
+            cell,
+        };
+        self.arena[start + pos..=start + len].rotate_right(1);
+    }
+
+    /// Installs (or replaces) receiver `r`'s deviation cell in row `me`.
+    /// Returns the replaced cell, if any.
+    fn put_dev(&mut self, me: usize, r: u32, cell: SparseCell<M>) -> Option<SparseCell<M>> {
+        let row = &self.rows[me];
+        match row.dev_index(&self.arena, r) {
+            Ok(i) => {
+                let slot = row.start as usize + i;
+                Some(std::mem::replace(&mut self.arena[slot].cell, cell))
+            }
             Err(i) => {
-                row.devs.insert(i, (r, cell));
-                list_insert(&mut self.by_receiver[r as usize], me as u32);
+                self.insert_cell(me, i, r, cell);
                 None
             }
         }
@@ -354,6 +504,8 @@ impl<M: Message> SparseMailbox<M> {
                 let old_max = self.begin_edit(me);
                 self.clear_row(me);
                 self.rows[me].deviated = true;
+                // Room for every entry up front; duplicates leave slack.
+                self.reserve(me, v.len());
                 for (to, m) in v {
                     // Later entries override earlier ones, exactly as
                     // in the dense plane (including its lazy rescan of
@@ -413,11 +565,8 @@ impl<M: Message> SparseMailbox<M> {
         }
         for &r in except {
             assert!((r as usize) < self.n, "except receiver out of range");
-            if self.rows[me].dev(r).is_none() {
-                self.put_dev(me, r, SparseCell::Knocked);
-                if r as usize != me {
-                    self.rows[me].count -= 1;
-                }
+            if self.put_dev(me, r, SparseCell::Knocked).is_none() && r as usize != me {
+                self.rows[me].count -= 1;
             }
         }
         let row = &mut self.rows[me];
@@ -434,8 +583,9 @@ impl<M: Message> SparseMailbox<M> {
     /// (ascending). `except` must be sorted ascending (duplicates are
     /// tolerated); the row must not already hold a broadcast base.
     ///
-    /// Cost: O(|devs| + |except|) — a sorted merge of the row's
-    /// deviation list with the except list, never an O(n) walk.
+    /// Cost: O(|devs| + |except|) — a sorted merge of the row's cells
+    /// with the except list through pooled scratch, never an O(n) walk
+    /// and no allocation after warm-up.
     ///
     /// # Panics
     ///
@@ -454,23 +604,22 @@ impl<M: Message> SparseMailbox<M> {
             assert!((r as usize) < self.n, "except receiver out of range");
         }
         let old_max = self.begin_edit(me);
-        {
-            let row = &mut self.rows[me];
-            assert!(
-                row.base.is_none(),
-                "merge_broadcast_except over an existing broadcast base"
-            );
-            row.deviated = true;
-        }
-        // Merge the (sorted) deviation list with the (sorted) except
-        // list into pooled scratch: existing cells keep their state
-        // (a knocked `except` hit silences a conflict report, exactly
-        // as in the dense walk), fresh except hits become Knocked.
+        assert!(
+            self.rows[me].base.is_none(),
+            "merge_broadcast_except over an existing broadcast base"
+        );
+        // Merge the row's (sorted) cells with the (sorted) except list
+        // into pooled scratch: existing cells keep their state (a
+        // knocked `except` hit silences a conflict report, exactly as in
+        // the dense walk), fresh except hits become Knocked.
         let mut scratch = std::mem::take(&mut self.merge_scratch);
         debug_assert!(scratch.is_empty());
         let mut k = 0usize;
-        let row = &mut self.rows[me];
-        for (r, cell) in row.devs.drain(..) {
+        let (start, len) = (self.rows[me].start as usize, self.rows[me].len as usize);
+        for slot in &mut self.arena[start..start + len] {
+            let Slot {
+                receiver: r, cell, ..
+            } = std::mem::replace(slot, Slot::vacant());
             while k < except.len() && except[k] < r {
                 let e = except[k];
                 while k < except.len() && except[k] == e {
@@ -495,25 +644,29 @@ impl<M: Message> SparseMailbox<M> {
             }
             scratch.push((e, SparseCell::Knocked));
         }
-        std::mem::swap(&mut row.devs, &mut scratch);
-        self.merge_scratch = scratch;
-        // Register freshly-knocked receivers in the receiver index
-        // (existing cells are already registered).
+        // Write the merged cells back; the old ones are already vacated,
+        // so a relocation moves nothing.
+        let merged = scratch.len();
+        self.rows[me].len = 0;
+        self.reserve(me, merged);
+        let start = self.rows[me].start as usize;
         let me_u32 = me as u32;
-        let mut fresh = Vec::new();
-        for &(r, ref cell) in &self.rows[me].devs {
-            if matches!(cell, SparseCell::Knocked) {
-                fresh.push(r);
-            }
+        let mut me_inherits = true;
+        for (slot, (r, cell)) in self.arena[start..].iter_mut().zip(scratch.drain(..)) {
+            me_inherits &= r != me_u32;
+            *slot = Slot {
+                sender: me_u32,
+                receiver: r,
+                cell,
+            };
         }
-        for r in fresh {
-            list_insert(&mut self.by_receiver[r as usize], me_u32);
-        }
+        self.merge_scratch = scratch;
         // Receivers that now inherit the base: everyone without an
         // explicit cell, minus the sender's free self-copy.
         let row = &mut self.rows[me];
-        let me_inherits = row.dev(me_u32).is_none();
-        let inherited = self.n - row.devs.len() - usize::from(me_inherits);
+        row.len = merged as u32;
+        row.deviated = true;
+        let inherited = self.n - merged - usize::from(me_inherits);
         let bs = msg.bit_size();
         row.count += inherited;
         row.bits += inherited * bs;
@@ -538,8 +691,8 @@ impl<M: Message> SparseMailbox<M> {
         let old_max = self.begin_edit(me);
         self.rows[me].deviated = true;
         let row = &self.rows[me];
-        let (counted, bits) = row.contribution(me as u32, r);
-        let removed_bits = row.effective(r).map(Message::bit_size);
+        let (counted, bits) = row.contribution(&self.arena, me as u32, r);
+        let removed_bits = row.effective(&self.arena, r).map(Message::bit_size);
         self.put_dev(me, r, SparseCell::Knocked);
         let row = &mut self.rows[me];
         if counted {
@@ -556,7 +709,7 @@ impl<M: Message> SparseMailbox<M> {
     /// Whether row `me` carries nothing at all (not even a self-copy).
     fn is_silent_row(&self, me: usize) -> bool {
         let row = &self.rows[me];
-        row.count == 0 && row.effective(me as u32).is_none()
+        row.count == 0 && row.effective(&self.arena, me as u32).is_none()
     }
 
     /// Adds a single point-to-point message, merging with whatever
@@ -573,7 +726,7 @@ impl<M: Message> SparseMailbox<M> {
         assert!((r as usize) < self.n, "receiver out of range");
         let old_max = self.begin_edit(me);
         self.rows[me].deviated = true;
-        let (counted, old_bits) = self.rows[me].contribution(me as u32, r);
+        let (counted, old_bits) = self.rows[me].contribution(&self.arena, me as u32, r);
         let bs = m.bit_size();
         self.put_dev(me, r, SparseCell::Msg(m));
         let row = &mut self.rows[me];
@@ -629,12 +782,13 @@ impl<M: Message> SparseMailbox<M> {
         if !row.deviated && row.base.is_some() {
             return false; // pure broadcast: every pair is occupied
         }
-        match row.dev(r) {
+        match row.dev(&self.arena, r) {
             Some(SparseCell::Msg(_)) => return false,
             None if row.base.is_some() => return false,
             None | Some(SparseCell::Knocked) => {}
         }
         // Vacant: an explicit message always counts (even a self-copy).
+        self.indexed = false;
         let m = make();
         let bs = m.bit_size();
         self.rows[me].deviated = true;
@@ -696,26 +850,112 @@ impl<M: Message> SparseMailbox<M> {
         self.is_silent_row(sender.index())
     }
 
-    /// The message `receiver` gets from `sender` this round, if any.
+    /// The message `receiver` gets from `sender` this round, if any —
+    /// resolved from the sender's row, so it needs no receiver index.
     pub fn resolve(&self, sender: NodeId, receiver: NodeId) -> Option<&M> {
-        self.rows[sender.index()].effective(receiver.raw())
+        self.rows[sender.index()].effective(&self.arena, receiver.raw())
+    }
+
+    /// Builds the receiver-major index the inbox reads use: a counting
+    /// sort of the arena's live slots by receiver, O(n + arena slots),
+    /// allocation-free after warm-up. A no-op while the index is
+    /// current; any mutation invalidates it.
+    pub fn build_inbox_index(&mut self) {
+        if self.indexed {
+            return;
+        }
+        let n = self.n;
+        self.offsets.clear();
+        self.offsets.resize(n + 1, 0);
+        let mut live = 0usize;
+        for slot in &self.arena {
+            if slot.sender != VACANT {
+                self.offsets[slot.receiver as usize + 1] += 1;
+                live += 1;
+            }
+        }
+        for r in 0..n {
+            self.offsets[r + 1] += self.offsets[r];
+        }
+        self.index.clear();
+        self.index.resize(live, (0, 0));
+        // `offsets[r]` serves as receiver r's write cursor and ends at
+        // the start of r + 1; shifting by one slot restores the starts.
+        for (i, slot) in self.arena.iter().enumerate() {
+            if slot.sender != VACANT {
+                let cursor = &mut self.offsets[slot.receiver as usize];
+                self.index[*cursor as usize] = (slot.sender, i as u32);
+                *cursor += 1;
+            }
+        }
+        self.offsets.copy_within(0..n, 1);
+        self.offsets[0] = 0;
+        if !self.in_order {
+            // A relocated row broke the arena's sender order; each
+            // receiver's senders are distinct, so the sort is exact.
+            for r in 0..n {
+                let (a, b) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
+                self.index[a..b].sort_unstable_by_key(|e| e.0);
+            }
+        }
+        self.indexed = true;
+    }
+
+    /// Receiver `r`'s `(sender, slot)` index entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the index is stale (see
+    /// [`SparseMailbox::build_inbox_index`]).
+    fn index_of(&self, r: NodeId) -> &[(u32, u32)] {
+        assert!(
+            self.indexed,
+            "sparse inbox read without a current receiver index; call build_inbox_index after the last mutation"
+        );
+        let r = r.index();
+        &self.index[self.offsets[r] as usize..self.offsets[r + 1] as usize]
     }
 
     /// Zero-allocation view of all messages addressed to `receiver`.
+    /// Reading it needs a current receiver index (see
+    /// [`SparseMailbox::build_inbox_index`]).
     pub fn inbox(&self, receiver: NodeId) -> Inbox<'_, M> {
         Inbox::sparse(self, receiver)
     }
 
     /// Iterates `(sender, message)` pairs addressed to `receiver` in
     /// ascending sender order — a sorted-merge cursor over the base
-    /// index and the receiver's deviation index, O(|bases| + |devs(r)|)
+    /// senders and the receiver's index entries, O(|bases| + |devs(r)|)
     /// and allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the receiver index is stale.
     pub(crate) fn inbox_iter(&self, receiver: NodeId) -> SparseInboxIter<'_, M> {
         SparseInboxIter {
-            plane: self,
-            r: receiver.raw(),
+            rows: &self.rows,
+            arena: &self.arena,
             bases: &self.base_senders,
-            devs: &self.by_receiver[receiver.index()],
+            devs: self.index_of(receiver),
+        }
+    }
+
+    /// The message `receiver` gets from `sender`, found through the
+    /// receiver index: a binary search over the receiver's entries, then
+    /// the sender's base if it has none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the receiver index is stale.
+    pub(crate) fn inbox_from(&self, sender: NodeId, receiver: NodeId) -> Option<&M> {
+        let devs = self.index_of(receiver);
+        match devs.binary_search_by_key(&sender.raw(), |e| e.0) {
+            Ok(i) => match &self.arena[devs[i].1 as usize].cell {
+                SparseCell::Msg(m) => Some(m),
+                SparseCell::Knocked => None,
+            },
+            Err(_) if self.base_senders.is_empty() => None,
+            Err(_) => self.rows[sender.index()].base.as_ref(),
         }
     }
 
@@ -738,7 +978,7 @@ impl<M: Message> SparseMailbox<M> {
         }
         self.rows
             .iter()
-            .map(|row| row.current_max(self.n))
+            .map(|row| row.current_max(&self.arena, self.n))
             .max()
             .unwrap_or(0)
     }
@@ -765,9 +1005,9 @@ impl<M: Message> SparseMailbox<M> {
                 false
             };
             if row.deviated {
-                for &(r, ref cell) in &row.devs {
-                    let r = r as usize;
-                    match cell {
+                for slot in row.cells(&self.arena) {
+                    let r = slot.receiver as usize;
+                    match &slot.cell {
                         SparseCell::Knocked => {
                             if has_base {
                                 scan.mark_knocked(r, s);
@@ -791,15 +1031,16 @@ impl<M: Message> SparseMailbox<M> {
 }
 
 /// Sorted-merge iterator over one receiver's sparse inbox: advances a
-/// cursor through `base_senders` and `by_receiver[r]` in lockstep,
-/// yielding each sender's effective message in ascending sender order.
+/// cursor through `base_senders` and the receiver's index entries in
+/// lockstep, yielding each sender's effective message in ascending
+/// sender order.
 pub(crate) struct SparseInboxIter<'a, M> {
-    plane: &'a SparseMailbox<M>,
-    r: u32,
+    rows: &'a [SparseRow<M>],
+    arena: &'a [Slot<M>],
     /// Remaining senders with a broadcast base.
     bases: &'a [u32],
-    /// Remaining senders with an explicit deviation cell for `r`.
-    devs: &'a [u32],
+    /// Remaining `(sender, slot)` deviation entries for this receiver.
+    devs: &'a [(u32, u32)],
 }
 
 impl<'a, M: Message> Iterator for SparseInboxIter<'a, M> {
@@ -807,41 +1048,43 @@ impl<'a, M: Message> Iterator for SparseInboxIter<'a, M> {
 
     fn next(&mut self) -> Option<(NodeId, &'a M)> {
         loop {
-            let (s, has_dev) = match (self.bases.first(), self.devs.first()) {
-                (Some(&b), Some(&d)) if b < d => {
+            let (s, slot) = match (self.bases.first(), self.devs.first()) {
+                (Some(&b), Some(&(d, _))) if b < d => {
                     self.bases = &self.bases[1..];
-                    (b, false)
+                    (b, None)
                 }
-                (Some(&b), Some(&d)) if b > d => {
-                    self.devs = &self.devs[1..];
-                    (d, true)
-                }
-                (Some(&b), Some(_)) => {
+                (Some(&b), Some(&(d, slot))) if b == d => {
                     self.bases = &self.bases[1..];
                     self.devs = &self.devs[1..];
-                    (b, true)
+                    (d, Some(slot))
+                }
+                (_, Some(&(d, slot))) => {
+                    self.devs = &self.devs[1..];
+                    (d, Some(slot))
                 }
                 (Some(&b), None) => {
                     self.bases = &self.bases[1..];
-                    (b, false)
-                }
-                (None, Some(&d)) => {
-                    self.devs = &self.devs[1..];
-                    (d, true)
+                    (b, None)
                 }
                 (None, None) => return None,
             };
-            let row = &self.plane.rows[s as usize];
-            if has_dev {
-                match row.dev(self.r) {
-                    Some(SparseCell::Msg(m)) => return Some((NodeId::new(s), m)),
-                    _ => continue, // knocked out of the base (or silent)
+            match slot {
+                // A deviation cell overrides the base: a message, or a
+                // knock-out that hides it.
+                Some(i) => {
+                    if let SparseCell::Msg(m) = &self.arena[i as usize].cell {
+                        return Some((NodeId::new(s), m));
+                    }
                 }
-            } else if let Some(base) = row.base.as_ref() {
-                return Some((NodeId::new(s), base));
+                // A base sender with no base is impossible (index
+                // invariant), but fall through defensively rather than
+                // panic in a reader.
+                None => {
+                    if let Some(base) = self.rows[s as usize].base.as_ref() {
+                        return Some((NodeId::new(s), base));
+                    }
+                }
             }
-            // A base sender with no base is impossible (index invariant),
-            // but fall through defensively rather than panic in a reader.
         }
     }
 
@@ -930,6 +1173,10 @@ impl<M: Message> MessagePlane<M> for SparseMailbox<M> {
         SparseMailbox::is_silent(self, sender)
     }
 
+    fn build_inbox_index(&mut self) {
+        SparseMailbox::build_inbox_index(self);
+    }
+
     fn inbox(&self, receiver: NodeId) -> Inbox<'_, M> {
         SparseMailbox::inbox(self, receiver)
     }
@@ -1001,6 +1248,7 @@ mod tests {
         mb.set(id(3), Emission::Broadcast(Tm(3)));
         mb.insert(id(1), id(2), Tm(9));
         mb.knock_out(id(0), id(2));
+        mb.build_inbox_index();
         let inbox: Vec<_> = mb
             .inbox(id(2))
             .iter()
@@ -1120,6 +1368,7 @@ mod tests {
         mb.set(id(0), Emission::Broadcast(Tm(7)));
         mb.insert(id(1), id(2), Tm(9));
         mb.reset(4);
+        mb.build_inbox_index();
         assert_eq!(mb.message_count(), 0);
         assert_eq!(mb.total_bits(), 0);
         assert_eq!(mb.max_edge_bits(), 0);
@@ -1145,6 +1394,7 @@ mod tests {
         mb.insert(id(3), id(9), Tm(2));
         mb.knock_out(id(7), id(100));
         assert_eq!(mb.message_count(), (n - 1) + 1 - 1);
+        mb.build_inbox_index();
         assert_eq!(mb.inbox(id(9)).len(), 2);
         assert_eq!(mb.inbox(id(100)).len(), 0);
     }
@@ -1169,6 +1419,66 @@ mod tests {
         }
         let mut mb = SparseMailbox::<Tm>::default();
         assert_eq!(drive(&mut mb), (3, 24, 8, true));
+        mb.build_inbox_index();
         assert_eq!(mb.inbox(NodeId::new(2)).len(), 2);
+    }
+
+    #[test]
+    fn out_of_order_edits_relocate_and_keep_inbox_order() {
+        let mut mb = SparseMailbox::new(6);
+        mb.set(id(1), Emission::PerRecipient(vec![(id(4), Tm(1))]));
+        mb.set(id(3), Emission::PerRecipient(vec![(id(4), Tm(3))]));
+        // Row 1 no longer ends the arena: growing it relocates it past
+        // row 3, and row 0 lands after both.
+        assert_eq!(mb.insert_if_vacant(id(1), id(2), Tm(5)), None);
+        mb.insert(id(0), id(4), Tm(7));
+        mb.build_inbox_index();
+        let senders = |mb: &SparseMailbox<Tm>, r| -> Vec<(u32, Tm)> {
+            mb.inbox(id(r))
+                .iter()
+                .map(|(s, m)| (s.raw(), m.clone()))
+                .collect()
+        };
+        assert_eq!(senders(&mb, 4), vec![(0, Tm(7)), (1, Tm(1)), (3, Tm(3))]);
+        assert_eq!(senders(&mb, 2), vec![(1, Tm(5))]);
+        assert_eq!(mb.inbox(id(4)).from(id(1)), Some(&Tm(1)));
+        assert_eq!(mb.inbox(id(4)).from(id(2)), None);
+        assert_eq!(mb.resolve(id(1), id(2)), Some(&Tm(5)));
+        assert_eq!(mb.message_count(), 4);
+    }
+
+    #[test]
+    fn repeated_relocation_is_amortized() {
+        // Alternating inserts into two rows force relocations; capacity
+        // doubling keeps the arena within a constant factor of the live
+        // cells instead of one full copy per insert.
+        let n = 1_024;
+        let mut mb = SparseMailbox::new(n);
+        for r in 0..n as u32 {
+            mb.insert(id(0), id(r), Tm(0));
+            mb.insert(id(1), id(r), Tm(1));
+        }
+        assert_eq!(mb.message_count(), 2 * n);
+        assert!(
+            mb.arena.len() <= 8 * n,
+            "arena grew to {} slots for {} cells",
+            mb.arena.len(),
+            2 * n
+        );
+        mb.build_inbox_index();
+        for r in 0..n as u32 {
+            assert_eq!(mb.inbox(id(r)).len(), 2);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "without a current receiver index")]
+    fn inbox_read_after_mutation_needs_a_rebuild() {
+        let mut mb = SparseMailbox::new(3);
+        mb.insert(id(0), id(1), Tm(1));
+        mb.build_inbox_index();
+        assert_eq!(mb.inbox(id(1)).len(), 1);
+        mb.knock_out(id(0), id(1));
+        let _ = mb.inbox(id(1)).len();
     }
 }

@@ -10,7 +10,13 @@
 //!   knocked/extra matrices (1 GiB combined at that size), and a pooled
 //!   re-reset must allocate almost nothing;
 //! * a point-to-point run on the sparse plane at n = 8 192 must
-//!   allocate O(messages) total, not O(n²) per round.
+//!   allocate O(messages) total, not O(n²) per round;
+//! * a pooled [`SparseMailbox`] at n = 65 536 driven through one whole
+//!   round of plane work — reset, per-recipient installs in sender
+//!   order, out-of-order `insert_if_vacant` and `merge_broadcast_except`
+//!   edits, the receiver-index build and every inbox read — must
+//!   allocate exactly nothing once one warm-up round has sized its
+//!   buffers.
 //!
 //! Budgets are deliberately loose (≥ 4× headroom over measured values)
 //! so they only fire on a complexity-class regression, not on incidental
@@ -95,8 +101,53 @@ impl Protocol for RingSender {
     }
 }
 
-// One test function: the counters are process-global, so the two pins
-// run sequentially on one thread to keep their deltas honest.
+/// One round of sparse-plane work, shaped like a sampled protocol's
+/// round under a delaying network: `emissions` installed in sender
+/// order, then out-of-order edits of rows installed earlier (the
+/// flight-queue drain and broadcast-merge paths), the index build, and
+/// every inbox read. Returns the messages read, so the reads stay live.
+fn sparse_plane_round(
+    plane: &mut SparseMailbox<Ping>,
+    emissions: Vec<Emission<Ping>>,
+    except: &[u32],
+    conflicts: &mut Vec<u32>,
+) -> usize {
+    let n = plane.n();
+    plane.reset(n);
+    for (s, e) in emissions.into_iter().enumerate() {
+        plane.set(NodeId::new(s as u32), e);
+    }
+    for k in 0..64u32 {
+        let s = k * 977 % n as u32;
+        plane.insert_if_vacant(NodeId::new(s), NodeId::new((s + 7) % n as u32), Ping);
+    }
+    for s in [5u32, 40_000, 17] {
+        conflicts.clear();
+        plane.merge_broadcast_except(NodeId::new(s), Ping, except, conflicts);
+    }
+    plane.build_inbox_index();
+    let mut read = 0;
+    for r in 0..n as u32 {
+        let inbox = plane.inbox(NodeId::new(r));
+        let from = NodeId::new(r.wrapping_mul(31) % n as u32);
+        read += inbox.iter().count() + inbox.len() + usize::from(inbox.from(from).is_some());
+    }
+    read
+}
+
+/// Two point-to-point messages per sender, to scattered receivers.
+fn sampled_emissions(n: u32) -> Vec<Emission<Ping>> {
+    (0..n)
+        .map(|s| {
+            let a = NodeId::new(s.wrapping_mul(2_654_435_761) % n);
+            let b = NodeId::new((s ^ 0x5bd1) % n);
+            Emission::PerRecipient(vec![(a, Ping), (b, Ping)])
+        })
+        .collect()
+}
+
+// One test function: the counters are process-global, so the pins run
+// sequentially on one thread to keep their deltas honest.
 #[test]
 fn allocation_budgets_hold_at_large_n() {
     // --- ArrivalScan at n = 65 536 -----------------------------------
@@ -155,5 +206,27 @@ fn allocation_budgets_hold_at_large_n() {
     assert!(
         calls < 4 * u64::from(n) * u64::from(rounds),
         "sparse steady state made {calls} allocator calls — per-message scratch regressed"
+    );
+
+    // --- pooled sparse-plane round at n = 65 536 ---------------------
+    let n = 65_536u32;
+    let except: Vec<u32> = (0..n).step_by(331).collect();
+    let mut plane: SparseMailbox<Ping> = SparseMailbox::new(n as usize);
+    let mut conflicts = Vec::new();
+    let warm = sparse_plane_round(&mut plane, sampled_emissions(n), &except, &mut conflicts);
+    // The emissions are the protocols' own allocations: build them
+    // outside the measured round.
+    let emissions = sampled_emissions(n);
+    let (bytes, calls, read) =
+        measure(|| sparse_plane_round(&mut plane, emissions, &except, &mut conflicts));
+    assert_eq!(
+        read, warm,
+        "the measured round must repeat the warm-up round"
+    );
+    assert!(read > 4 * n as usize, "the round read only {read} messages");
+    assert_eq!(
+        (bytes, calls),
+        (0, 0),
+        "a warmed-up sparse plane round allocated {bytes} bytes in {calls} calls"
     );
 }

@@ -1,4 +1,4 @@
-//! Differential test: the adjacency-list sparse plane against the dense
+//! Differential test: the flat-arena sparse plane against the dense
 //! broadcast-aware mailbox.
 //!
 //! Both planes implement [`MessagePlane`], so one driver replays seeded
@@ -17,6 +17,13 @@
 //! On top of the per-step observables, both planes fill an
 //! [`ArrivalScan`] after every step and the scans are compared field by
 //! field — the provenance seam's view of the plane must be identical.
+//!
+//! The sparse plane answers inbox reads from a receiver index rebuilt
+//! after each mutation, as the engine does once per round. Every step
+//! compares `Inbox::from(s)` for every sender `s` (absent and knocked
+//! senders included), and a dedicated read → mutate the same row → read
+//! test drives each mutator over a row whose cells were just indexed, so
+//! a mutation that failed to invalidate the index is caught.
 
 use aba_sim::{ArrivalScan, Emission, Message, MessagePlane, NodeId, RoundMailbox, SparseMailbox};
 use rand::rngs::SmallRng;
@@ -31,6 +38,9 @@ impl Message for Tm {
     }
 }
 
+/// Number of mutation kinds [`apply_op`] knows.
+const OP_KINDS: u32 = 10;
+
 /// One random mutation applied to both planes through the trait.
 fn random_op(
     gen: &mut SmallRng,
@@ -40,13 +50,27 @@ fn random_op(
 ) {
     let s = NodeId::new(gen.gen_range(0..n as u32));
     let r = NodeId::new(gen.gen_range(0..n as u32));
+    let kind = gen.gen_range(0..OP_KINDS);
+    apply_op(gen, dense, sparse, n, (s, r), kind);
+}
+
+/// Mutation `kind` of row `s` (aimed at receiver `r` where the mutator
+/// takes one), applied to both planes through the trait.
+fn apply_op(
+    gen: &mut SmallRng,
+    dense: &mut RoundMailbox<Tm>,
+    sparse: &mut SparseMailbox<Tm>,
+    n: usize,
+    (s, r): (NodeId, NodeId),
+    kind: u32,
+) {
     // Half the time, aim the message at the sender's live base value —
     // the equality path a generic reference model cannot express.
     let msg = match dense.broadcast_base(s) {
         Some(b) if gen.gen_bool(0.5) => b.clone(),
         _ => Tm(gen.gen()),
     };
-    match gen.gen_range(0..10u32) {
+    match kind {
         0 => {
             let e = Emission::Broadcast(Tm(gen.gen()));
             dense.set(s, e.clone());
@@ -155,7 +179,16 @@ fn assert_scans_equal(a: &ArrivalScan, b: &ArrivalScan, n: usize, ctx: &str) {
     }
 }
 
-fn assert_equivalent(dense: &RoundMailbox<Tm>, sparse: &SparseMailbox<Tm>, n: usize, ctx: &str) {
+/// Indexes the sparse plane for inbox reads (as the engine does after
+/// delivery) and compares every observable of the two planes.
+fn assert_equivalent(
+    dense: &RoundMailbox<Tm>,
+    sparse: &mut SparseMailbox<Tm>,
+    n: usize,
+    ctx: &str,
+) {
+    MessagePlane::build_inbox_index(sparse);
+    let sparse = &*sparse;
     assert_eq!(MessagePlane::n(dense), sparse.n(), "{ctx}: n");
     for s in 0..n as u32 {
         let s = NodeId::new(s);
@@ -216,10 +249,12 @@ fn assert_equivalent(dense: &RoundMailbox<Tm>, sparse: &SparseMailbox<Tm>, n: us
             sparse_inbox.is_empty(),
             "{ctx}: inbox({r}).is_empty()"
         );
-        if let Some(&(from, _)) = via_dense.first() {
+        let dense_inbox = dense.inbox(r);
+        for from in 0..n as u32 {
+            let from = NodeId::new(from);
             assert_eq!(
-                sparse_inbox.from(NodeId::new(from)),
-                dense.resolve(NodeId::new(from), r),
+                sparse_inbox.from(from),
+                dense_inbox.from(from),
                 "{ctx}: inbox({r}).from({from})"
             );
         }
@@ -265,7 +300,7 @@ fn sparse_plane_matches_dense_mailbox() {
                 random_op(&mut gen, &mut dense, &mut sparse, n);
                 assert_equivalent(
                     &dense,
-                    &sparse,
+                    &mut sparse,
                     n,
                     &format!("n={n} case={case} step={step}"),
                 );
@@ -273,7 +308,12 @@ fn sparse_plane_matches_dense_mailbox() {
             // Pooled reuse must behave like a fresh plane on both sides.
             dense.reset(n);
             MessagePlane::reset(&mut sparse, n);
-            assert_equivalent(&dense, &sparse, n, &format!("n={n} case={case} post-reset"));
+            assert_equivalent(
+                &dense,
+                &mut sparse,
+                n,
+                &format!("n={n} case={case} post-reset"),
+            );
         }
     }
 }
@@ -291,7 +331,41 @@ fn sparse_plane_survives_resize_reuse() {
         MessagePlane::reset(&mut sparse, n);
         for step in 0..20 {
             random_op(&mut gen, &mut dense, &mut sparse, n);
-            assert_equivalent(&dense, &sparse, n, &format!("resize {i} n={n} step={step}"));
+            assert_equivalent(
+                &dense,
+                &mut sparse,
+                n,
+                &format!("resize {i} n={n} step={step}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn mutating_an_indexed_row_invalidates_the_index() {
+    // Read → mutate the same row → read, once per mutator: the row's
+    // cells are in the receiver index when the mutation lands, so a
+    // mutator that left the index marked current would serve a stale
+    // inbox on the second read.
+    let n = 17;
+    let mut gen = SmallRng::seed_from_u64(0x1DE7);
+    for kind in 0..OP_KINDS {
+        for case in 0..6 {
+            let mut dense: RoundMailbox<Tm> = RoundMailbox::new(n);
+            let mut sparse: SparseMailbox<Tm> = SparseMailbox::new(n);
+            for _ in 0..12 {
+                random_op(&mut gen, &mut dense, &mut sparse, n);
+            }
+            let ctx = format!("kind={kind} case={case}");
+            assert_equivalent(&dense, &mut sparse, n, &format!("{ctx} before"));
+            // Aim at a row with indexed cells when there is one.
+            let s = (0..n as u32)
+                .map(NodeId::new)
+                .find(|&s| !MessagePlane::is_silent(&sparse, s) && !dense.is_broadcast(s))
+                .unwrap_or(NodeId::new(0));
+            let r = NodeId::new(gen.gen_range(0..n as u32));
+            apply_op(&mut gen, &mut dense, &mut sparse, n, (s, r), kind);
+            assert_equivalent(&dense, &mut sparse, n, &format!("{ctx} after"));
         }
     }
 }

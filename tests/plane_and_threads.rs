@@ -220,6 +220,21 @@ fn sampled_pinned() -> Vec<(&'static str, ScenarioBuilder)> {
                 .max_rounds(2_000)
                 .seed(37),
         ),
+        (
+            // Delayed traffic drains from the flight queue into rows
+            // installed earlier in the round: the out-of-order edits the
+            // sparse arena must relocate.
+            "king-saia × full-attack-capped × bounded-delay",
+            ScenarioBuilder::new(16, 5)
+                .protocol(ProtocolSpec::KingSaia { iters: 12 })
+                .adversary(AttackSpec::FullAttackCapped { q: 2 })
+                .network(NetworkSpec::BoundedDelay {
+                    max_delay: 2,
+                    scheduler: DelayScheduler::Random,
+                })
+                .max_rounds(2_000)
+                .seed(41),
+        ),
     ]
 }
 
