@@ -25,7 +25,7 @@
 
 use aba_coin::{CoinFlipNode, CoinMsg};
 use aba_sim::adversary::{Adversary, AdversaryAction, CorruptSend, RoundView};
-use aba_sim::{Emission, NodeId};
+use aba_sim::{Emission, MessagePlane, NodeId};
 use rand::RngCore;
 
 /// Blind strategy when the adversary cannot see current-round flips.
@@ -86,10 +86,10 @@ impl CoinKiller {
     }
 }
 
-impl Adversary<CoinFlipNode> for CoinKiller {
+impl<L: MessagePlane<CoinMsg>> Adversary<CoinFlipNode, L> for CoinKiller {
     fn act(
         &mut self,
-        view: &RoundView<'_, CoinFlipNode>,
+        view: &RoundView<'_, CoinFlipNode, L>,
         _rng: &mut dyn RngCore,
     ) -> AdversaryAction<CoinMsg> {
         self.last_cost = 0;

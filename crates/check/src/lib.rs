@@ -17,14 +17,15 @@
 //!   round they first became observable.
 //! * **Trace capture** ([`record`]): [`TraceRecorder`] is itself an
 //!   oracle. It records, per round, the adversary's action and the
-//!   arrivals in the dense mailbox's own broadcast-base + deviation
-//!   representation (one clone per broadcast, not `n`), plus the
-//!   delivery stats.
+//!   arrivals in the planes' broadcast-base + deviation view (one clone
+//!   per broadcast, not `n`), plus the delivery stats.
 //! * **Replay** ([`replay`]): [`ReplayAdversary`] and [`ReplayDelivery`]
 //!   re-drive the engine from a recording with no network model and no
 //!   adversary strategy attached; a faithful trace reproduces the live
 //!   run bit for bit under every network model (pinned by the
-//!   `trace_replay` differential tests).
+//!   `trace_replay` differential tests). Recorder, adversary and
+//!   delivery stage are generic over the message plane, so a run
+//!   records and replays on the plane it ran on.
 //! * **Blame** ([`blame`]): given a run whose honest deciders disagree
 //!   and a causal-influence relation (supplied by `aba-obs`'s
 //!   provenance probe), a deterministic greedy cover of the minority

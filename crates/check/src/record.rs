@@ -8,10 +8,11 @@
 //!
 //! * the adversary's action (corruptions + corrupt sends), cloned before
 //!   the engine consumes it;
-//! * the **arrivals** in the dense mailbox's own representation — one
-//!   shared broadcast base per sender plus that row's deviations
-//!   (knock-outs and per-receiver overrides). A pure broadcast costs one
-//!   message clone, never `n`;
+//! * the **arrivals** in the planes' shared recording view — one shared
+//!   broadcast base per sender plus that row's deviations (knock-outs
+//!   and per-receiver overrides), read through
+//!   [`MessagePlane::deviations`] on whichever plane the run uses. A
+//!   pure broadcast costs one message clone, never `n`;
 //! * the round's [`DeliveryStats`], verbatim, so replayed delivery
 //!   accounting is bit-identical by construction (the `delayed` counter
 //!   in particular counts re-deferrals on busy links, which cannot be
@@ -23,9 +24,9 @@
 use aba_sim::adversary::{AdversaryAction, CorruptSend};
 use aba_sim::delivery::DeliveryStats;
 use aba_sim::id::{NodeId, Round};
-use aba_sim::mailbox::RoundMailbox;
 use aba_sim::message::Message;
 use aba_sim::oracle::{Oracle, RoundCtx};
+use aba_sim::plane::MessagePlane;
 
 /// One recorded adversary turn: the round it belongs to, the
 /// corruptions, and the dictated corrupt emissions.
@@ -121,15 +122,15 @@ impl<M: Message> TraceRecorder<M> {
     }
 }
 
-/// Captures `mailbox` as row records (senders with no traffic omitted).
-fn snapshot_rows<M: Message>(mailbox: &RoundMailbox<M>) -> Vec<RowRecord<M>> {
+/// Captures `plane` as row records (senders with no traffic omitted).
+fn snapshot_rows<M: Message, L: MessagePlane<M>>(plane: &L) -> Vec<RowRecord<M>> {
     let mut rows = Vec::new();
-    for s in 0..mailbox.n() {
+    for s in 0..plane.n() {
         let sender = NodeId::new(s as u32);
-        let base = mailbox.broadcast_base(sender).cloned();
+        let base = plane.broadcast_base(sender).cloned();
         let mut knocked = Vec::new();
         let mut overrides = Vec::new();
-        for (receiver, deviation) in mailbox.deviations(sender) {
+        for (receiver, deviation) in plane.deviations(sender) {
             match deviation {
                 // A knock-out without a base delivers nothing: skip.
                 None => {
@@ -137,7 +138,7 @@ fn snapshot_rows<M: Message>(mailbox: &RoundMailbox<M>) -> Vec<RowRecord<M>> {
                         knocked.push(receiver.raw());
                     }
                 }
-                Some(m) => overrides.push((receiver, m.clone())),
+                Some(m) => overrides.push((receiver, m)),
             }
         }
         if base.is_some() || !overrides.is_empty() {
@@ -152,12 +153,12 @@ fn snapshot_rows<M: Message>(mailbox: &RoundMailbox<M>) -> Vec<RowRecord<M>> {
     rows
 }
 
-impl<M: Message> Oracle<M> for TraceRecorder<M> {
+impl<M: Message, L: MessagePlane<M>> Oracle<M, L> for TraceRecorder<M> {
     fn observe_action(&mut self, round: Round, action: &AdversaryAction<M>) {
         self.pending = Some((round, action.corruptions.clone(), action.sends.clone()));
     }
 
-    fn observe_round(&mut self, ctx: &RoundCtx<'_, M>) {
+    fn observe_round(&mut self, ctx: &RoundCtx<'_, M, L>) {
         let (corruptions, sends) = match self.pending.take() {
             Some((r, c, s)) if r == ctx.round => (c, s),
             _ => (Vec::new(), Vec::new()),
@@ -179,6 +180,7 @@ impl<M: Message> Oracle<M> for TraceRecorder<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aba_sim::mailbox::RoundMailbox;
     use aba_sim::message::Emission;
 
     #[derive(Debug, Clone, PartialEq, Eq)]

@@ -15,8 +15,8 @@ use crate::record::{ActionRecord, RoundRecord, RowRecord, TraceRecording};
 use aba_sim::adversary::{Adversary, AdversaryAction, CorruptionLedger, RoundView};
 use aba_sim::delivery::{Delivery, DeliveryStats};
 use aba_sim::id::Round;
-use aba_sim::mailbox::RoundMailbox;
 use aba_sim::message::Message;
+use aba_sim::plane::MessagePlane;
 use aba_sim::protocol::Protocol;
 use rand::RngCore;
 use std::collections::VecDeque;
@@ -60,8 +60,8 @@ pub struct ReplayAdversary<M> {
     name: &'static str,
 }
 
-impl<M: Message, P: Protocol<Msg = M>> Adversary<P> for ReplayAdversary<M> {
-    fn act(&mut self, view: &RoundView<'_, P>, _rng: &mut dyn RngCore) -> AdversaryAction<M> {
+impl<M: Message, P: Protocol<Msg = M>, L: MessagePlane<M>> Adversary<P, L> for ReplayAdversary<M> {
+    fn act(&mut self, view: &RoundView<'_, P, L>, _rng: &mut dyn RngCore) -> AdversaryAction<M> {
         match self.script.front() {
             Some((round, _, _)) if *round == view.round => {
                 let (_, corruptions, sends) = self.script.pop_front().expect("front exists");
@@ -77,19 +77,20 @@ impl<M: Message, P: Protocol<Msg = M>> Adversary<P> for ReplayAdversary<M> {
 }
 
 /// A delivery stage that discards the wire and reconstructs the recorded
-/// arrivals — the recorded network decisions, replayed exactly.
+/// arrivals — the recorded network decisions, replayed exactly, on
+/// whichever message plane the run uses.
 #[derive(Debug, Clone)]
 pub struct ReplayDelivery<M> {
     script: VecDeque<(Round, Vec<RowRecord<M>>, DeliveryStats)>,
 }
 
-impl<M: Message> Delivery<M> for ReplayDelivery<M> {
+impl<M: Message, L: MessagePlane<M>> Delivery<M, L> for ReplayDelivery<M> {
     fn deliver(
         &mut self,
         round: Round,
-        mut wire: RoundMailbox<M>,
+        mut wire: L,
         _ledger: &CorruptionLedger,
-    ) -> (RoundMailbox<M>, DeliveryStats) {
+    ) -> (L, DeliveryStats) {
         let n = wire.n();
         wire.reset(n);
         let Some((front, _, _)) = self.script.front() else {
@@ -131,7 +132,7 @@ mod tests {
     use super::*;
     use crate::record::TraceRecorder;
     use aba_sim::adversary::Benign;
-    use aba_sim::mailbox::Inbox;
+    use aba_sim::mailbox::{Inbox, RoundMailbox};
     use aba_sim::message::Emission;
     use aba_sim::prelude::*;
 

@@ -25,9 +25,10 @@
 //! * **Budget monotonicity** arms everywhere (it checks the engine's
 //!   own accounting, not a protocol claim).
 
-use crate::runner::{self, CheckDrive, ReplayOutcome, Replayed, TrialResult};
+use crate::runner::{self, Once, RecordReplay, ReplayOutcome, TrialResult};
 use crate::scenario::{AttackSpec, InputSpec, ProtocolSpec, Scenario};
 use aba_check::{shrink_greedy, LemmaSuite, OracleReport};
+use aba_sim::probe::NoProbe;
 
 /// Result of one oracle-checked trial.
 #[derive(Debug, Clone, PartialEq)]
@@ -116,12 +117,11 @@ pub(crate) fn lemma_suite_for(s: &Scenario) -> LemmaSuite {
 ///
 /// Same preconditions as [`crate::run_scenario`].
 pub fn check_scenario(s: &Scenario) -> CheckedTrial {
-    if s.plane == crate::scenario::PlaneSpec::Sparse {
-        if let Some(checked) = runner::drive_scenario_sparse(&CheckDrive, s) {
-            return checked;
-        }
+    let ran = runner::drive_scenario(Once(lemma_suite_for(s), NoProbe), s);
+    CheckedTrial {
+        result: ran.result,
+        oracle: ran.oracle.report(),
     }
-    runner::drive_scenario(&CheckDrive, s)
 }
 
 /// Records one scenario's run as a trace, re-drives the engine from the
@@ -133,7 +133,11 @@ pub fn check_scenario(s: &Scenario) -> CheckedTrial {
 ///
 /// Same preconditions as [`crate::run_scenario`].
 pub fn replay_scenario(s: &Scenario) -> ReplayOutcome {
-    runner::drive_scenario(&Replayed, s)
+    let r = runner::drive_scenario(RecordReplay(|| NoProbe), s);
+    ReplayOutcome {
+        live: r.live,
+        replayed: r.replayed,
+    }
 }
 
 /// A self-contained failure reproduction: the violating scenario as it

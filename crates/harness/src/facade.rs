@@ -24,6 +24,7 @@ use crate::runner::{self, TrialResult};
 use crate::scenario::{AttackSpec, InputSpec, NetworkSpec, PlaneSpec, ProtocolSpec, Scenario};
 use aba_agreement::CommitteeBa;
 use aba_sim::adversary::Adversary;
+use aba_sim::probe::Probe;
 use aba_sim::InfoModel;
 
 /// Builder-style facade over the whole experiment stack.
@@ -111,10 +112,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Selects the message plane. [`PlaneSpec::Packed`] routes
-    /// committee-family runs through the bit-packed binary plane;
-    /// protocols without a packed codec silently stay dense so the
-    /// switch is always safe to set campaign-wide.
+    /// Selects the message plane for every run mode (see the table on
+    /// [`PlaneSpec`]). A protocol the requested plane does not serve
+    /// runs dense with the same results, so the switch is always safe
+    /// to set campaign-wide.
     #[must_use]
     pub fn plane(mut self, p: PlaneSpec) -> Self {
         self.scenario.plane = p;
@@ -210,7 +211,9 @@ impl ScenarioBuilder {
 
     /// Runs a single trial of the configured committee-family protocol
     /// against a caller-supplied adversary — the escape hatch for custom
-    /// attack research (see `examples/custom_adversary.rs`).
+    /// attack research (see `examples/custom_adversary.rs`). The
+    /// adversary is typed against the dense plane, so the trial runs
+    /// there whatever [`ScenarioBuilder::plane`] asks for.
     ///
     /// # Panics
     ///
@@ -225,7 +228,8 @@ impl ScenarioBuilder {
 
     /// Runs the configured number of trials against caller-supplied
     /// adversaries, one fresh instance per trial from `make` (called with
-    /// the trial's seed).
+    /// the trial's seed). As with [`ScenarioBuilder::run_with`], the
+    /// adversaries are typed against the dense plane and run there.
     ///
     /// # Panics
     ///
@@ -257,6 +261,18 @@ impl ScenarioBuilder {
 /// (`n ≥ 3t + 1` for the agreement protocols).
 pub fn run_scenario(s: &Scenario) -> TrialResult {
     runner::run_scenario(s)
+}
+
+/// Runs one scenario with a caller-supplied engine [`Probe`] attached,
+/// on the same path as [`run_scenario`] (same plane, network and
+/// attack dispatch, no oracle), and returns the probe with the result.
+/// Probes observe only, so the result equals [`run_scenario`]'s.
+///
+/// # Panics
+///
+/// Same preconditions as [`run_scenario`].
+pub fn run_scenario_with_probe<B: Probe>(s: &Scenario, probe: B) -> (TrialResult, B) {
+    runner::run_scenario_with_probe(s, probe)
 }
 
 /// Aggregated outcome of a batch of trials.

@@ -35,7 +35,7 @@ pub(crate) mod runner;
 pub mod scenario;
 
 pub use check::{check_scenario, replay_scenario, shrink_violation, CheckedTrial, Repro};
-pub use facade::{run_scenario, BatchReport, ScenarioBuilder};
+pub use facade::{run_scenario, run_scenario_with_probe, BatchReport, ScenarioBuilder};
 pub use observe::{observe_replay, observe_scenario, ObservedReplay, ObservedTrial};
 pub use provenance::{provenance_replay, provenance_scenario, ProvenancedReplay, ProvenancedTrial};
 pub use report::Report;

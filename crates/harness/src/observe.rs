@@ -1,8 +1,7 @@
 //! Scenario-level entry points for the `aba-obs` deterministic channel:
-//! run a trial with the [`EventProbe`](aba_obs::EventProbe) attached and
-//! get back the event log and metrics registry alongside the ordinary
-//! result, or run the record/replay differential with probes on both
-//! sides.
+//! run a trial with the [`EventProbe`] attached and get back the event
+//! log and metrics registry alongside the ordinary result, or run the
+//! record/replay differential with probes on both sides.
 //!
 //! Everything returned here lives on **logical time**: the event log and
 //! registry are pure functions of the scenario, so
@@ -10,10 +9,11 @@
 //! — byte-identical across processes, worker counts, and (as
 //! [`observe_replay`] pins) between a live run and its trace replay.
 
-use crate::runner::{self, ObserveDrive, ObservedReplayDrive, TrialResult};
+use crate::check::lemma_suite_for;
+use crate::runner::{self, Once, RecordReplay, TrialResult};
 use crate::scenario::Scenario;
 use aba_check::OracleReport;
-use aba_obs::{EventLog, MetricsRegistry};
+use aba_obs::{EventKind, EventLog, EventProbe, MetricsRegistry};
 
 /// Result of one probe-instrumented, oracle-checked trial.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,7 +78,29 @@ impl ObservedReplay {
 ///
 /// Same preconditions as [`crate::run_scenario`].
 pub fn observe_scenario(s: &Scenario) -> ObservedTrial {
-    runner::drive_scenario(&ObserveDrive, s)
+    let ran = runner::drive_scenario(Once(lemma_suite_for(s), EventProbe::new()), s);
+    let oracle = ran.oracle.report();
+    let mut probe = ran.probe;
+    log_violations(&mut probe, &oracle);
+    let (events, metrics) = probe.into_parts();
+    ObservedTrial {
+        result: ran.result,
+        oracle,
+        events,
+        metrics,
+    }
+}
+
+/// Appends one `violation` event per retained oracle violation, so the
+/// event log carries the full story of the trial.
+pub(crate) fn log_violations(probe: &mut EventProbe, oracle: &OracleReport) {
+    for v in &oracle.violations {
+        probe.push(EventKind::Violation {
+            round: v.round,
+            oracle: v.oracle.to_string(),
+            detail: v.detail.clone(),
+        });
+    }
 }
 
 /// Records one scenario's run with a probe attached, re-drives it from
@@ -90,7 +112,17 @@ pub fn observe_scenario(s: &Scenario) -> ObservedTrial {
 ///
 /// Same preconditions as [`crate::run_scenario`].
 pub fn observe_replay(s: &Scenario) -> ObservedReplay {
-    runner::drive_scenario(&ObservedReplayDrive, s)
+    let r = runner::drive_scenario(RecordReplay(EventProbe::new), s);
+    let (live_events, live_metrics) = r.live_probe.into_parts();
+    let (replayed_events, replayed_metrics) = r.replay_probe.into_parts();
+    ObservedReplay {
+        live: r.live,
+        replayed: r.replayed,
+        live_events,
+        replayed_events,
+        live_metrics,
+        replayed_metrics,
+    }
 }
 
 #[cfg(test)]

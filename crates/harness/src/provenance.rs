@@ -12,10 +12,12 @@
 //! processes, worker counts, thread counts, and (as
 //! [`provenance_replay`] pins) between a live run and its trace replay.
 
-use crate::runner::{self, ProvenanceDrive, ProvenancedReplayDrive, TrialResult};
+use crate::check::lemma_suite_for;
+use crate::observe::log_violations;
+use crate::runner::{self, Once, RecordReplay, TrialResult};
 use crate::scenario::Scenario;
 use aba_check::{BlameReport, OracleReport};
-use aba_obs::{chrome_trace_with_flows, EventLog, MetricsRegistry, ProvenanceProbe};
+use aba_obs::{chrome_trace_with_flows, EventLog, EventProbe, MetricsRegistry, ProvenanceProbe};
 
 /// Result of one provenance-traced, oracle-checked trial.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,7 +124,24 @@ impl ProvenancedReplay {
 ///
 /// Same preconditions as [`crate::run_scenario`].
 pub fn provenance_scenario(s: &Scenario) -> ProvenancedTrial {
-    runner::drive_scenario(&ProvenanceDrive, s)
+    let probes = (EventProbe::new(), ProvenanceProbe::new());
+    let ran = runner::drive_scenario(Once(lemma_suite_for(s), probes), s);
+    let oracle = ran.oracle.report();
+    let (mut event_probe, provenance) = ran.probe;
+    log_violations(&mut event_probe, &oracle);
+    let blame = aba_check::blame_disagreement(&ran.report, |d, c| provenance.influenced(d, c));
+    let (events, mut metrics) = event_probe.into_parts();
+    // One registry for the trial: fold the probe's prov.* metrics
+    // into the deterministic channel (merge is order-invariant).
+    metrics.merge(provenance.metrics());
+    ProvenancedTrial {
+        result: ran.result,
+        oracle,
+        events,
+        metrics,
+        provenance,
+        blame,
+    }
 }
 
 /// Records one scenario's run with the provenance probe attached,
@@ -135,7 +154,20 @@ pub fn provenance_scenario(s: &Scenario) -> ProvenancedTrial {
 ///
 /// Same preconditions as [`crate::run_scenario`].
 pub fn provenance_replay(s: &Scenario) -> ProvenancedReplay {
-    runner::drive_scenario(&ProvenancedReplayDrive, s)
+    let r = runner::drive_scenario(
+        RecordReplay(|| (EventProbe::new(), ProvenanceProbe::new())),
+        s,
+    );
+    let (live_event_probe, live_provenance) = r.live_probe;
+    let (replay_event_probe, replayed_provenance) = r.replay_probe;
+    ProvenancedReplay {
+        live: r.live,
+        replayed: r.replayed,
+        live_events: live_event_probe.into_parts().0,
+        replayed_events: replay_event_probe.into_parts().0,
+        live_provenance,
+        replayed_provenance,
+    }
 }
 
 #[cfg(test)]

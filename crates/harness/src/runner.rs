@@ -2,37 +2,41 @@
 //!
 //! This module is the *engine room* of the [`crate::ScenarioBuilder`]
 //! facade: it monomorphizes the declarative [`Scenario`] into a concrete
-//! protocol/adversary pair and runs it. It is crate-private on purpose —
-//! downstream code composes runs exclusively through the facade.
+//! protocol/adversary/plane combination and runs it. It is crate-private
+//! on purpose — downstream code composes runs exclusively through the
+//! facade.
 //!
-//! Execution is factored through the [`Drive`] strategy so the one
-//! attack-dispatch table serves three run modes: [`Plain`] (just the
-//! [`TrialResult`]), [`CheckDrive`] (the lemma oracles from `aba-check`
-//! attached via the engine's oracle seam), and [`Replayed`] (record the
-//! run, re-drive it from the trace, return both results — the
-//! differential that pins trace fidelity).
+//! There is one run path. [`drive_scenario`] asks [`Family::plane`]
+//! which message plane the scenario runs on, dispatches the protocol
+//! family's attack table once, generic over that plane, and hands the
+//! combination to a [`Drive`] strategy, which runs it through the one
+//! network dispatch ([`simulate`]). Two strategies serve every entry
+//! point: [`Once`] (one run with an oracle and a probe attached — the
+//! plain, probed, checked, observed and provenance-traced runs) and
+//! [`RecordReplay`] (record the live run, re-drive the engine from the
+//! trace on the same plane, with a probe on each side).
 
-use crate::check::{lemma_suite_for, CheckedTrial};
 use crate::scenario::{AttackSpec, NetworkSpec, PlaneSpec, ProtocolSpec, Scenario};
 use aba_adversary::{AdaptiveCrash, Benign, BudgetCapped, StaticBehavior, StaticByzantine};
 use aba_agreement::{
-    BaConfig, BaMsg, CoinRoundMode, CommitteeBa, KingSaiaNode, PhaseKingBa, SamplingMajorityNode,
+    BaConfig, BaMsg, CoinRoundMode, CommitteeBa, KingSaiaNode, KsMsg, PhaseKingBa, PkMsg,
+    SamplingMajorityNode, SmMsg,
 };
 use aba_attacks::{
     AdaptiveFullAttack, BudgetPolicy, CoinKiller, NonRushingPolicy, SamplingPoison, SplitVote,
 };
-use aba_check::TraceRecorder;
-use aba_coin::CoinFlipNode;
-use aba_net::{BoundedDelay, LossyLinks, NetDelivery, Partition, Synchronous};
-use aba_obs::{EventKind, EventProbe, ProvenanceProbe};
+use aba_check::{LemmaSuite, TraceRecorder};
+use aba_coin::{CoinFlipNode, CoinMsg};
+use aba_net::{BoundedDelay, LossyLinks, NetDelivery, NetworkModel, Partition, Synchronous};
 use aba_sim::adversary::Adversary;
 use aba_sim::oracle::{NoOracle, Oracle};
 use aba_sim::probe::{NoProbe, Probe};
 use aba_sim::protocol::Protocol;
 use aba_sim::{
-    PackedMailbox, PackedSimulation, RunReport, SimConfig, Simulation, SparseMailbox,
-    SparseSimulation, Verdict,
+    MessagePlane, PackedMailbox, RoundMailbox, RunReport, SimConfig, Simulation, SparseMailbox,
+    Verdict,
 };
+use std::marker::PhantomData;
 
 /// Result of one trial, flattened for aggregation.
 #[derive(Debug, Clone, PartialEq)]
@@ -198,62 +202,103 @@ fn sim_config(s: &Scenario) -> SimConfig {
 
 /// How the honest outcome of a run is evaluated into a [`TrialResult`].
 #[derive(Clone, Copy)]
-pub(crate) enum Eval<'a> {
+enum Eval<'a> {
     /// Agreement/validity against the materialized inputs.
     Inputs(&'a [bool]),
     /// Coin semantics: agreement = commonality, validity vacuous.
     Coin,
 }
 
-impl Eval<'_> {
-    fn trial(
-        &self,
-        s: &Scenario,
-        report: &RunReport,
-        adversary: &'static str,
-        downgraded: bool,
-    ) -> TrialResult {
-        match self {
-            Eval::Inputs(inputs) => TrialResult::from_run(
-                report,
-                s.seed,
-                inputs,
-                adversary,
-                s.network.name(),
-                downgraded,
-            ),
-            Eval::Coin => {
-                TrialResult::from_coin_run(report, s.seed, adversary, s.network.name(), downgraded)
+/// The protocol families, grouped by the message planes they can run
+/// on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Family {
+    /// The committee-BA family (the paper's protocols and the
+    /// committee baselines): `BaMsg` has a 32-bit packed codec.
+    Committee,
+    /// Sampling majority and King–Saia: sub-quadratic traffic.
+    Sampled,
+    /// The common coin and Phase-King.
+    DenseOnly,
+}
+
+impl Family {
+    /// The family a protocol belongs to.
+    pub(crate) fn of(p: ProtocolSpec) -> Family {
+        match p {
+            ProtocolSpec::Paper { .. }
+            | ProtocolSpec::PaperLasVegas { .. }
+            | ProtocolSpec::PaperLiteralCoin { .. }
+            | ProtocolSpec::ChorCoan { .. }
+            | ProtocolSpec::RabinDealer
+            | ProtocolSpec::BenOrPrivate => Family::Committee,
+            ProtocolSpec::SamplingMajority { .. } | ProtocolSpec::KingSaia { .. } => {
+                Family::Sampled
             }
+            ProtocolSpec::CommonCoin | ProtocolSpec::PhaseKing => Family::DenseOnly,
+        }
+    }
+
+    /// The plane a run of this family uses when `requested` is asked
+    /// for — the one table every entry point goes through. The
+    /// committee family runs on dense or packed, the sampled family on
+    /// dense or sparse, everything else on dense. Every plane gives the
+    /// same results, so an unsupported request changes only the cost.
+    pub(crate) fn plane(self, requested: PlaneSpec) -> PlaneSpec {
+        match (self, requested) {
+            (Family::Committee, PlaneSpec::Packed) => PlaneSpec::Packed,
+            (Family::Sampled, PlaneSpec::Sparse) => PlaneSpec::Sparse,
+            _ => PlaneSpec::Dense,
         }
     }
 }
 
-/// Runs the simulation under the scenario's network conditions with an
-/// oracle attached, monomorphizing the engine over the concrete delivery
-/// stage so every protocol × adversary × network × oracle combination
-/// stays static-dispatch.
+type Dense<P> = RoundMailbox<<P as Protocol>::Msg>;
+type Packed<P> = PackedMailbox<<P as Protocol>::Msg>;
+type Sparse<P> = SparseMailbox<<P as Protocol>::Msg>;
+
+/// One dispatched trial, before the adversary is chosen: the scenario,
+/// how to build its nodes (replay builds them twice), how to evaluate
+/// the outcome, and the plane `L` it runs on.
+pub(crate) struct Trial<'a, P, L> {
+    s: &'a Scenario,
+    make_nodes: &'a dyn Fn() -> Vec<P>,
+    eval: Eval<'a>,
+    plane: PhantomData<fn() -> L>,
+}
+
+impl<'a, P, L> Trial<'a, P, L> {
+    fn new(s: &'a Scenario, make_nodes: &'a dyn Fn() -> Vec<P>, eval: Eval<'a>) -> Self {
+        Trial {
+            s,
+            make_nodes,
+            eval,
+            plane: PhantomData,
+        }
+    }
+
+    fn result(&self, report: &RunReport, adversary: &'static str, downgraded: bool) -> TrialResult {
+        let (seed, network) = (self.s.seed, self.s.network.name());
+        match self.eval {
+            Eval::Inputs(inputs) => {
+                TrialResult::from_run(report, seed, inputs, adversary, network, downgraded)
+            }
+            Eval::Coin => TrialResult::from_coin_run(report, seed, adversary, network, downgraded),
+        }
+    }
+}
+
+/// Runs one trial on plane `L` under the scenario's network conditions,
+/// with an oracle and a probe attached — the one network dispatch every
+/// drive goes through, static-dispatch for every protocol × adversary ×
+/// network × plane × instrument combination. Oracles and probes
+/// observe only, so the report is the uninstrumented one.
 ///
 /// The model is seeded from the scenario's master seed on the dedicated
 /// network RNG stream, so the same seed reproduces the same drops and
 /// delays — and switching models never perturbs node or adversary
 /// randomness.
-fn simulate_oracle<P, A, O>(s: &Scenario, nodes: Vec<P>, adversary: A, oracle: O) -> (RunReport, O)
-where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
-    A: Adversary<P>,
-    O: Oracle<P::Msg>,
-{
-    let (report, oracle, NoProbe) = simulate_full(s, nodes, adversary, oracle, NoProbe);
-    (report, oracle)
-}
-
-/// The fully-instrumented variant of [`simulate_oracle`]: same network
-/// dispatch, with a probe attached through the engine's third seam.
-/// Probes observe only, so the report and oracle are bit-identical to
-/// the probe-less run.
-fn simulate_full<P, A, O, B>(
+fn simulate<P, L, A, O, B>(
     s: &Scenario,
     nodes: Vec<P>,
     adversary: A,
@@ -263,897 +308,276 @@ fn simulate_full<P, A, O, B>(
 where
     P: Protocol + Send,
     P::Msg: Send + Sync,
-    A: Adversary<P>,
-    O: Oracle<P::Msg>,
+    L: MessagePlane<P::Msg> + Sync,
+    A: Adversary<P, L>,
+    O: Oracle<P::Msg, L>,
     B: Probe,
 {
-    let cfg = sim_config(s);
     match s.network {
-        NetworkSpec::Synchronous => Simulation::with_instruments(
-            cfg,
-            nodes,
-            adversary,
-            NetDelivery::new(Synchronous, s.seed),
-            oracle,
-            probe,
-        )
-        .run_instrumented(),
-        NetworkSpec::LossyLinks { p_drop } => Simulation::with_instruments(
-            cfg,
-            nodes,
-            adversary,
-            NetDelivery::new(LossyLinks::new(p_drop), s.seed),
-            oracle,
-            probe,
-        )
-        .run_instrumented(),
-        NetworkSpec::BoundedDelay {
-            max_delay,
-            scheduler,
-        } => Simulation::with_instruments(
-            cfg,
-            nodes,
-            adversary,
-            NetDelivery::new(BoundedDelay::new(max_delay, scheduler), s.seed),
-            oracle,
-            probe,
-        )
-        .run_instrumented(),
-        NetworkSpec::Partition { groups, heal_round } => Simulation::with_instruments(
-            cfg,
-            nodes,
-            adversary,
-            NetDelivery::new(Partition::striped(s.n, groups, heal_round), s.seed),
-            oracle,
-            probe,
-        )
-        .run_instrumented(),
-    }
-}
-
-/// Packed-plane counterpart of [`simulate_full`] for the committee
-/// family: the same network dispatch with `L = PackedMailbox<BaMsg>`.
-/// The oracle and probe seams stay on the dense plane — the packed plane
-/// is a performance surface, pinned against dense `TrialResult`s by the
-/// differential suites rather than instrumented in place.
-fn simulate_packed<A>(s: &Scenario, nodes: Vec<CommitteeBa>, adversary: A) -> RunReport
-where
-    A: Adversary<CommitteeBa, PackedMailbox<BaMsg>>,
-{
-    let cfg = sim_config(s);
-    match s.network {
-        NetworkSpec::Synchronous => {
-            PackedSimulation::with_instruments(
-                cfg,
-                nodes,
-                adversary,
-                NetDelivery::new(Synchronous, s.seed),
-                NoOracle,
-                NoProbe,
-            )
-            .run_instrumented()
-            .0
-        }
+        NetworkSpec::Synchronous => on_network(s, Synchronous, nodes, adversary, oracle, probe),
         NetworkSpec::LossyLinks { p_drop } => {
-            PackedSimulation::with_instruments(
-                cfg,
-                nodes,
-                adversary,
-                NetDelivery::new(LossyLinks::new(p_drop), s.seed),
-                NoOracle,
-                NoProbe,
-            )
-            .run_instrumented()
-            .0
+            on_network(s, LossyLinks::new(p_drop), nodes, adversary, oracle, probe)
         }
         NetworkSpec::BoundedDelay {
             max_delay,
             scheduler,
-        } => {
-            PackedSimulation::with_instruments(
-                cfg,
-                nodes,
-                adversary,
-                NetDelivery::new(BoundedDelay::new(max_delay, scheduler), s.seed),
-                NoOracle,
-                NoProbe,
-            )
-            .run_instrumented()
-            .0
-        }
-        NetworkSpec::Partition { groups, heal_round } => {
-            PackedSimulation::with_instruments(
-                cfg,
-                nodes,
-                adversary,
-                NetDelivery::new(Partition::striped(s.n, groups, heal_round), s.seed),
-                NoOracle,
-                NoProbe,
-            )
-            .run_instrumented()
-            .0
-        }
+        } => on_network(
+            s,
+            BoundedDelay::new(max_delay, scheduler),
+            nodes,
+            adversary,
+            oracle,
+            probe,
+        ),
+        NetworkSpec::Partition { groups, heal_round } => on_network(
+            s,
+            Partition::striped(s.n, groups, heal_round),
+            nodes,
+            adversary,
+            oracle,
+            probe,
+        ),
     }
 }
 
-/// Packed-plane counterpart of [`run_committee`], [`Plain`]-drive only.
-fn run_committee_packed<A>(
+/// [`simulate`] under one concrete network model.
+fn on_network<P, L, A, O, B, N>(
     s: &Scenario,
-    cfg: &BaConfig,
+    model: N,
+    nodes: Vec<P>,
     adversary: A,
-    downgraded: bool,
-) -> TrialResult
-where
-    A: Adversary<CommitteeBa, PackedMailbox<BaMsg>>,
-{
-    let inputs = s.inputs.materialize(s.n, s.seed);
-    let name = adversary.name();
-    let report = simulate_packed(s, CommitteeBa::network(cfg, &inputs), adversary);
-    Eval::Inputs(&inputs).trial(s, &report, name, downgraded)
-}
-
-/// Runs a committee-family scenario on the bit-packed plane, or `None`
-/// when the scenario's protocol has no packed codec (the coin, sampling,
-/// and Phase-King families stay dense). The attack table mirrors
-/// [`dispatch_committee`] entry for entry so a plane switch never
-/// changes which adversary runs.
-pub(crate) fn run_scenario_packed(s: &Scenario) -> Option<TrialResult> {
-    let cfg = &committee_config(s)?;
-    Some(match s.attack {
-        AttackSpec::Benign => run_committee_packed(s, cfg, Benign, false),
-        AttackSpec::StaticSilent => run_committee_packed(
-            s,
-            cfg,
-            StaticByzantine::first_t(s.t, StaticBehavior::Silence),
-            false,
-        ),
-        AttackSpec::StaticMirror => run_committee_packed(
-            s,
-            cfg,
-            StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom),
-            false,
-        ),
-        AttackSpec::Crash { per_round } => {
-            run_committee_packed(s, cfg, AdaptiveCrash::steady(per_round), false)
-        }
-        AttackSpec::SplitVote => run_committee_packed(s, cfg, SplitVote::new(), false),
-        AttackSpec::FullAttack => {
-            run_committee_packed(s, cfg, AdaptiveFullAttack::new(BudgetPolicy::Greedy), false)
-        }
-        AttackSpec::FullAttackFrugal => {
-            run_committee_packed(s, cfg, AdaptiveFullAttack::new(BudgetPolicy::Frugal), false)
-        }
-        AttackSpec::FullAttackCapped { q } => run_committee_packed(
-            s,
-            cfg,
-            BudgetCapped::new(AdaptiveFullAttack::new(BudgetPolicy::Greedy), q),
-            false,
-        ),
-        AttackSpec::CoinKiller | AttackSpec::SamplingPoison => {
-            run_committee_packed(s, cfg, AdaptiveFullAttack::new(BudgetPolicy::Greedy), true)
-        }
-    })
-}
-
-/// Sparse-plane counterpart of [`simulate_oracle`], generic over the
-/// protocol so the sampled family (sampling-majority and King–Saia)
-/// shares one network dispatch. Unlike the packed plane, the oracle
-/// seam stays live here — the lemma checkers are generic over the
-/// message plane — so armed campaigns (CongestEdgeBound especially) run
-/// directly on the sparse plane at scale. The probe seam stays
-/// dense-side.
-fn simulate_sparse<P, A, O>(s: &Scenario, nodes: Vec<P>, adversary: A, oracle: O) -> (RunReport, O)
+    oracle: O,
+    probe: B,
+) -> (RunReport, O, B)
 where
     P: Protocol + Send,
     P::Msg: Send + Sync,
-    A: Adversary<P, SparseMailbox<P::Msg>>,
-    O: Oracle<P::Msg, SparseMailbox<P::Msg>>,
+    L: MessagePlane<P::Msg> + Sync,
+    A: Adversary<P, L>,
+    O: Oracle<P::Msg, L>,
+    B: Probe,
+    N: NetworkModel,
 {
-    let cfg = sim_config(s);
-    let (report, oracle, NoProbe) = match s.network {
-        NetworkSpec::Synchronous => SparseSimulation::with_instruments(
-            cfg,
-            nodes,
-            adversary,
-            NetDelivery::new(Synchronous, s.seed),
-            oracle,
-            NoProbe,
-        )
-        .run_instrumented(),
-        NetworkSpec::LossyLinks { p_drop } => SparseSimulation::with_instruments(
-            cfg,
-            nodes,
-            adversary,
-            NetDelivery::new(LossyLinks::new(p_drop), s.seed),
-            oracle,
-            NoProbe,
-        )
-        .run_instrumented(),
-        NetworkSpec::BoundedDelay {
-            max_delay,
-            scheduler,
-        } => SparseSimulation::with_instruments(
-            cfg,
-            nodes,
-            adversary,
-            NetDelivery::new(BoundedDelay::new(max_delay, scheduler), s.seed),
-            oracle,
-            NoProbe,
-        )
-        .run_instrumented(),
-        NetworkSpec::Partition { groups, heal_round } => SparseSimulation::with_instruments(
-            cfg,
-            nodes,
-            adversary,
-            NetDelivery::new(Partition::striped(s.n, groups, heal_round), s.seed),
-            oracle,
-            NoProbe,
-        )
-        .run_instrumented(),
-    };
-    (report, oracle)
-}
-
-/// Execution strategy over the sparse-plane dispatch — the sparse twin
-/// of [`Drive`], needed because sparse adversaries are typed against
-/// `SparseMailbox` rather than the default plane. Implemented for
-/// [`Plain`] and [`CheckDrive`].
-pub(crate) trait DriveSparse {
-    /// What one driven sparse trial produces.
-    type Out;
-
-    /// Executes one fully-dispatched sparse combination.
-    fn drive_sparse<P, A>(
-        &self,
-        s: &Scenario,
-        nodes: Vec<P>,
-        inputs: &[bool],
-        adversary: A,
-        downgraded: bool,
-    ) -> Self::Out
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        A: Adversary<P, SparseMailbox<P::Msg>>;
-}
-
-impl DriveSparse for Plain {
-    type Out = TrialResult;
-
-    fn drive_sparse<P, A>(
-        &self,
-        s: &Scenario,
-        nodes: Vec<P>,
-        inputs: &[bool],
-        adversary: A,
-        downgraded: bool,
-    ) -> TrialResult
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        A: Adversary<P, SparseMailbox<P::Msg>>,
-    {
-        let name = adversary.name();
-        let (report, _) = simulate_sparse(s, nodes, adversary, NoOracle);
-        Eval::Inputs(inputs).trial(s, &report, name, downgraded)
-    }
-}
-
-impl DriveSparse for CheckDrive {
-    type Out = CheckedTrial;
-
-    fn drive_sparse<P, A>(
-        &self,
-        s: &Scenario,
-        nodes: Vec<P>,
-        inputs: &[bool],
-        adversary: A,
-        downgraded: bool,
-    ) -> CheckedTrial
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        A: Adversary<P, SparseMailbox<P::Msg>>,
-    {
-        let name = adversary.name();
-        let suite = lemma_suite_for(s);
-        let (report, suite) = simulate_sparse(s, nodes, adversary, suite);
-        CheckedTrial {
-            result: Eval::Inputs(inputs).trial(s, &report, name, downgraded),
-            oracle: suite.report(),
-        }
-    }
-}
-
-/// Sparse-plane sampling-majority dispatch. Mirrors
-/// [`dispatch_sampling`] entry for entry ([`SamplingPoison`] is generic
-/// over the plane), so a plane switch never changes which adversary runs.
-fn dispatch_sampling_sparse<D: DriveSparse>(d: &D, s: &Scenario, iters: u64) -> D::Out {
-    let iters = if iters == 0 {
-        SamplingMajorityNode::recommended_iterations(s.n)
-    } else {
-        iters
-    };
-    let inputs = s.inputs.materialize(s.n, s.seed);
-    let nodes = || SamplingMajorityNode::network(s.n, iters, &inputs);
-    match s.attack {
-        AttackSpec::Benign => d.drive_sparse(s, nodes(), &inputs, Benign, false),
-        AttackSpec::StaticSilent => d.drive_sparse(
-            s,
-            nodes(),
-            &inputs,
-            StaticByzantine::first_t(s.t, StaticBehavior::Silence),
-            false,
-        ),
-        AttackSpec::StaticMirror => d.drive_sparse(
-            s,
-            nodes(),
-            &inputs,
-            StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom),
-            false,
-        ),
-        AttackSpec::Crash { per_round } => {
-            d.drive_sparse(s, nodes(), &inputs, AdaptiveCrash::steady(per_round), false)
-        }
-        AttackSpec::FullAttackCapped { q } => d.drive_sparse(
-            s,
-            nodes(),
-            &inputs,
-            BudgetCapped::new(SamplingPoison::eager(), q),
-            true,
-        ),
-        AttackSpec::SamplingPoison => {
-            d.drive_sparse(s, nodes(), &inputs, SamplingPoison::eager(), false)
-        }
-        AttackSpec::SplitVote
-        | AttackSpec::FullAttack
-        | AttackSpec::FullAttackFrugal
-        | AttackSpec::CoinKiller => {
-            d.drive_sparse(s, nodes(), &inputs, SamplingPoison::eager(), true)
-        }
-    }
-}
-
-/// Sparse-plane King–Saia dispatch. Mirrors [`dispatch_king_saia`] entry
-/// for entry.
-fn dispatch_king_saia_sparse<D: DriveSparse>(d: &D, s: &Scenario, iters: u64) -> D::Out {
-    let iters = king_saia_iters(s, iters);
-    let inputs = s.inputs.materialize(s.n, s.seed);
-    let nodes = || KingSaiaNode::network(s.n, iters, &inputs, s.seed);
-    match s.attack {
-        AttackSpec::Benign => d.drive_sparse(s, nodes(), &inputs, Benign, false),
-        AttackSpec::StaticSilent => d.drive_sparse(
-            s,
-            nodes(),
-            &inputs,
-            StaticByzantine::first_t(s.t, StaticBehavior::Silence),
-            false,
-        ),
-        AttackSpec::StaticMirror => d.drive_sparse(
-            s,
-            nodes(),
-            &inputs,
-            StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom),
-            false,
-        ),
-        AttackSpec::Crash { per_round } => {
-            d.drive_sparse(s, nodes(), &inputs, AdaptiveCrash::steady(per_round), false)
-        }
-        AttackSpec::FullAttackCapped { q } => d.drive_sparse(
-            s,
-            nodes(),
-            &inputs,
-            BudgetCapped::new(AdaptiveCrash::steady(1), q),
-            true,
-        ),
-        AttackSpec::SplitVote
-        | AttackSpec::FullAttack
-        | AttackSpec::FullAttackFrugal
-        | AttackSpec::CoinKiller
-        | AttackSpec::SamplingPoison => {
-            d.drive_sparse(s, nodes(), &inputs, AdaptiveCrash::steady(1), true)
-        }
-    }
-}
-
-/// Drives a sampled-family scenario on the sparse adjacency plane, or
-/// `None` when the scenario's protocol is not in the sampled family (the
-/// committee, coin, and Phase-King families stay dense).
-pub(crate) fn drive_scenario_sparse<D: DriveSparse>(d: &D, s: &Scenario) -> Option<D::Out> {
-    match s.protocol {
-        ProtocolSpec::SamplingMajority { iters } => Some(dispatch_sampling_sparse(d, s, iters)),
-        ProtocolSpec::KingSaia { iters } => Some(dispatch_king_saia_sparse(d, s, iters)),
-        _ => None,
-    }
-}
-
-/// Runs a sampled-family scenario on the sparse plane ([`Plain`] drive).
-pub(crate) fn run_scenario_sparse(s: &Scenario) -> Option<TrialResult> {
-    drive_scenario_sparse(&Plain, s)
+    let delivery = NetDelivery::new(model, s.seed);
+    Simulation::<P, A, _, O, B, L>::with_instruments(
+        sim_config(s),
+        nodes,
+        adversary,
+        delivery,
+        oracle,
+        probe,
+    )
+    .run_instrumented()
 }
 
 /// An execution strategy over the monomorphized protocol × adversary ×
-/// network dispatch. `make_nodes` rebuilds the protocol network from
-/// scratch (replay drives the engine twice).
+/// plane dispatch.
 pub(crate) trait Drive {
     /// What one driven trial produces.
     type Out;
 
     /// Executes one fully-dispatched combination.
-    fn drive<P, A>(
-        &self,
-        s: &Scenario,
-        make_nodes: &dyn Fn() -> Vec<P>,
-        adversary: A,
-        eval: Eval<'_>,
-        downgraded: bool,
-    ) -> Self::Out
+    fn drive<P, L, A>(self, t: Trial<'_, P, L>, adversary: A, downgraded: bool) -> Self::Out
     where
         P: Protocol + Send,
         P::Msg: Send + Sync,
-        A: Adversary<P>;
+        L: MessagePlane<P::Msg> + Sync,
+        A: Adversary<P, L>;
 }
 
-/// The default strategy: run once, no oracle.
-pub(crate) struct Plain;
+/// Run once with an oracle and a probe attached: [`NoOracle`] for the
+/// plain and probed runs, the scenario's [`LemmaSuite`] for the
+/// checked, observed and provenance-traced ones.
+pub(crate) struct Once<O, B>(pub(crate) O, pub(crate) B);
 
-impl Drive for Plain {
-    type Out = TrialResult;
-
-    fn drive<P, A>(
-        &self,
-        s: &Scenario,
-        make_nodes: &dyn Fn() -> Vec<P>,
-        adversary: A,
-        eval: Eval<'_>,
-        downgraded: bool,
-    ) -> TrialResult
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        A: Adversary<P>,
-    {
-        let name = adversary.name();
-        let (report, _) = simulate_oracle(s, make_nodes(), adversary, NoOracle);
-        eval.trial(s, &report, name, downgraded)
-    }
+/// What a [`Once`] drive leaves behind.
+pub(crate) struct Ran<O, B> {
+    pub(crate) result: TrialResult,
+    pub(crate) report: RunReport,
+    pub(crate) oracle: O,
+    pub(crate) probe: B,
 }
 
-/// Run once with the scenario's lemma oracles attached.
-pub(crate) struct CheckDrive;
-
-impl Drive for CheckDrive {
-    type Out = CheckedTrial;
-
-    fn drive<P, A>(
-        &self,
-        s: &Scenario,
-        make_nodes: &dyn Fn() -> Vec<P>,
-        adversary: A,
-        eval: Eval<'_>,
-        downgraded: bool,
-    ) -> CheckedTrial
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        A: Adversary<P>,
-    {
-        let name = adversary.name();
-        let suite = lemma_suite_for(s);
-        let (report, suite) = simulate_oracle(s, make_nodes(), adversary, suite);
-        CheckedTrial {
-            result: eval.trial(s, &report, name, downgraded),
-            oracle: suite.report(),
-        }
-    }
-}
-
-/// Record the live run, then re-drive the engine from the trace with
-/// the recorded adversary actions and arrivals standing in for the
-/// strategy and the network model.
-pub(crate) struct Replayed;
-
-impl Drive for Replayed {
-    type Out = ReplayOutcome;
-
-    fn drive<P, A>(
-        &self,
-        s: &Scenario,
-        make_nodes: &dyn Fn() -> Vec<P>,
-        adversary: A,
-        eval: Eval<'_>,
-        downgraded: bool,
-    ) -> ReplayOutcome
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        A: Adversary<P>,
-    {
-        let name = adversary.name();
-        let (live_report, recorder) =
-            simulate_oracle(s, make_nodes(), adversary, TraceRecorder::new());
-        let (replay_adv, replay_delivery) = recorder.into_recording().into_replay(name);
-        let replay_report =
-            Simulation::with_network(sim_config(s), make_nodes(), replay_adv, replay_delivery)
-                .run();
-        ReplayOutcome {
-            live: eval.trial(s, &live_report, name, downgraded),
-            replayed: eval.trial(s, &replay_report, name, downgraded),
-        }
-    }
-}
-
-/// Run once with both the lemma oracles *and* the deterministic-channel
-/// [`EventProbe`] attached; oracle violations are appended to the event
-/// log so the log carries the full story of the trial.
-pub(crate) struct ObserveDrive;
-
-impl Drive for ObserveDrive {
-    type Out = crate::observe::ObservedTrial;
-
-    fn drive<P, A>(
-        &self,
-        s: &Scenario,
-        make_nodes: &dyn Fn() -> Vec<P>,
-        adversary: A,
-        eval: Eval<'_>,
-        downgraded: bool,
-    ) -> crate::observe::ObservedTrial
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        A: Adversary<P>,
-    {
-        let name = adversary.name();
-        let suite = lemma_suite_for(s);
-        let (report, suite, mut probe) =
-            simulate_full(s, make_nodes(), adversary, suite, EventProbe::new());
-        let oracle = suite.report();
-        for v in &oracle.violations {
-            probe.push(EventKind::Violation {
-                round: v.round,
-                oracle: v.oracle.to_string(),
-                detail: v.detail.clone(),
-            });
-        }
-        let (events, metrics) = probe.into_parts();
-        crate::observe::ObservedTrial {
-            result: eval.trial(s, &report, name, downgraded),
-            oracle,
-            events,
-            metrics,
-        }
-    }
-}
-
-/// Run once with the lemma oracles, the deterministic-channel
-/// [`EventProbe`], *and* the causal [`ProvenanceProbe`] attached; when
-/// the run's honest deciders disagree, the blame set is computed from
-/// the provenance influence relation.
-pub(crate) struct ProvenanceDrive;
-
-impl Drive for ProvenanceDrive {
-    type Out = crate::provenance::ProvenancedTrial;
-
-    fn drive<P, A>(
-        &self,
-        s: &Scenario,
-        make_nodes: &dyn Fn() -> Vec<P>,
-        adversary: A,
-        eval: Eval<'_>,
-        downgraded: bool,
-    ) -> crate::provenance::ProvenancedTrial
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        A: Adversary<P>,
-    {
-        let name = adversary.name();
-        let suite = lemma_suite_for(s);
-        let (report, suite, probes) = simulate_full(
-            s,
-            make_nodes(),
-            adversary,
-            suite,
-            (EventProbe::new(), ProvenanceProbe::new()),
-        );
-        let (mut event_probe, provenance) = probes;
-        let oracle = suite.report();
-        for v in &oracle.violations {
-            event_probe.push(EventKind::Violation {
-                round: v.round,
-                oracle: v.oracle.to_string(),
-                detail: v.detail.clone(),
-            });
-        }
-        let blame = aba_check::blame_disagreement(&report, |d, c| provenance.influenced(d, c));
-        let (events, mut metrics) = event_probe.into_parts();
-        // One registry for the trial: fold the probe's prov.* metrics
-        // into the deterministic channel (merge is order-invariant).
-        metrics.merge(provenance.metrics());
-        crate::provenance::ProvenancedTrial {
-            result: eval.trial(s, &report, name, downgraded),
-            oracle,
-            events,
-            metrics,
-            provenance,
-            blame,
-        }
-    }
-}
-
-/// Record the live run with the provenance probe attached, re-drive it
-/// from the trace with a fresh one, and return both provenance layers —
-/// the differential pinning "live vs replay provenance artifacts are
-/// byte-identical".
-pub(crate) struct ProvenancedReplayDrive;
-
-impl Drive for ProvenancedReplayDrive {
-    type Out = crate::provenance::ProvenancedReplay;
-
-    fn drive<P, A>(
-        &self,
-        s: &Scenario,
-        make_nodes: &dyn Fn() -> Vec<P>,
-        adversary: A,
-        eval: Eval<'_>,
-        downgraded: bool,
-    ) -> crate::provenance::ProvenancedReplay
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        A: Adversary<P>,
-    {
-        let name = adversary.name();
-        let (live_report, recorder, live_probes) = simulate_full(
-            s,
-            make_nodes(),
-            adversary,
-            TraceRecorder::new(),
-            (EventProbe::new(), ProvenanceProbe::new()),
-        );
-        let (replay_adv, replay_delivery) = recorder.into_recording().into_replay(name);
-        let (replay_report, NoOracle, replay_probes) = Simulation::with_instruments(
-            sim_config(s),
-            make_nodes(),
-            replay_adv,
-            replay_delivery,
-            NoOracle,
-            (EventProbe::new(), ProvenanceProbe::new()),
-        )
-        .run_instrumented();
-        let (live_event_probe, live_provenance) = live_probes;
-        let (replay_event_probe, replayed_provenance) = replay_probes;
-        let (live_events, _) = live_event_probe.into_parts();
-        let (replayed_events, _) = replay_event_probe.into_parts();
-        crate::provenance::ProvenancedReplay {
-            live: eval.trial(s, &live_report, name, downgraded),
-            replayed: eval.trial(s, &replay_report, name, downgraded),
-            live_events,
-            replayed_events,
-            live_provenance,
-            replayed_provenance,
-        }
-    }
-}
-
-/// Record the live run with the probe attached, re-drive it from the
-/// trace with a fresh probe, and return both observability channels —
-/// the differential that pins "live vs replay event logs are
-/// byte-identical". Neither side gets oracle-violation events appended
-/// (the replay runs oracle-less), keeping the two logs comparable.
-pub(crate) struct ObservedReplayDrive;
-
-impl Drive for ObservedReplayDrive {
-    type Out = crate::observe::ObservedReplay;
-
-    fn drive<P, A>(
-        &self,
-        s: &Scenario,
-        make_nodes: &dyn Fn() -> Vec<P>,
-        adversary: A,
-        eval: Eval<'_>,
-        downgraded: bool,
-    ) -> crate::observe::ObservedReplay
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        A: Adversary<P>,
-    {
-        let name = adversary.name();
-        let (live_report, recorder, live_probe) = simulate_full(
-            s,
-            make_nodes(),
-            adversary,
-            TraceRecorder::new(),
-            EventProbe::new(),
-        );
-        let (replay_adv, replay_delivery) = recorder.into_recording().into_replay(name);
-        let (replay_report, NoOracle, replay_probe) = Simulation::with_instruments(
-            sim_config(s),
-            make_nodes(),
-            replay_adv,
-            replay_delivery,
-            NoOracle,
-            EventProbe::new(),
-        )
-        .run_instrumented();
-        let (live_events, live_metrics) = live_probe.into_parts();
-        let (replayed_events, replayed_metrics) = replay_probe.into_parts();
-        crate::observe::ObservedReplay {
-            live: eval.trial(s, &live_report, name, downgraded),
-            replayed: eval.trial(s, &replay_report, name, downgraded),
-            live_events,
-            replayed_events,
-            live_metrics,
-            replayed_metrics,
-        }
-    }
-}
-
-fn run_committee<D, A>(
-    d: &D,
-    s: &Scenario,
-    cfg: &BaConfig,
+fn run_once<P, L, A, O, B>(
+    t: Trial<'_, P, L>,
     adversary: A,
     downgraded: bool,
-) -> D::Out
+    oracle: O,
+    probe: B,
+) -> Ran<O, B>
 where
-    D: Drive,
-    A: Adversary<CommitteeBa>,
+    P: Protocol + Send,
+    P::Msg: Send + Sync,
+    L: MessagePlane<P::Msg> + Sync,
+    A: Adversary<P, L>,
+    O: Oracle<P::Msg, L>,
+    B: Probe,
 {
-    let inputs = s.inputs.materialize(s.n, s.seed);
-    d.drive(
-        s,
-        &|| CommitteeBa::network(cfg, &inputs),
-        adversary,
-        Eval::Inputs(&inputs),
-        downgraded,
-    )
-}
-
-fn run_phase_king<D, A>(d: &D, s: &Scenario, adversary: A, downgraded: bool) -> D::Out
-where
-    D: Drive,
-    A: Adversary<PhaseKingBa>,
-{
-    let inputs = s.inputs.materialize(s.n, s.seed);
-    d.drive(
-        s,
-        &|| PhaseKingBa::network(s.n, s.t, &inputs),
-        adversary,
-        Eval::Inputs(&inputs),
-        downgraded,
-    )
-}
-
-fn run_coin<D, A>(d: &D, s: &Scenario, adversary: A, downgraded: bool) -> D::Out
-where
-    D: Drive,
-    A: Adversary<CoinFlipNode>,
-{
-    d.drive(
-        s,
-        &|| CoinFlipNode::network(s.n),
-        adversary,
-        Eval::Coin,
-        downgraded,
-    )
-}
-
-fn run_sampling<D, A>(d: &D, s: &Scenario, iters: u64, adversary: A, downgraded: bool) -> D::Out
-where
-    D: Drive,
-    A: Adversary<SamplingMajorityNode>,
-{
-    let iters = if iters == 0 {
-        SamplingMajorityNode::recommended_iterations(s.n)
-    } else {
-        iters
-    };
-    let inputs = s.inputs.materialize(s.n, s.seed);
-    d.drive(
-        s,
-        &|| SamplingMajorityNode::network(s.n, iters, &inputs),
-        adversary,
-        Eval::Inputs(&inputs),
-        downgraded,
-    )
-}
-
-/// Resolves a King–Saia iteration count (0 = recommended for `n`).
-fn king_saia_iters(s: &Scenario, iters: u64) -> u64 {
-    if iters == 0 {
-        KingSaiaNode::recommended_iterations(s.n)
-    } else {
-        iters
+    let name = adversary.name();
+    let (report, oracle, probe) = simulate(t.s, (t.make_nodes)(), adversary, oracle, probe);
+    Ran {
+        result: t.result(&report, name, downgraded),
+        report,
+        oracle,
+        probe,
     }
 }
 
-fn run_king_saia<D, A>(d: &D, s: &Scenario, iters: u64, adversary: A, downgraded: bool) -> D::Out
-where
-    D: Drive,
-    A: Adversary<KingSaiaNode>,
-{
-    let iters = king_saia_iters(s, iters);
-    let inputs = s.inputs.materialize(s.n, s.seed);
-    d.drive(
-        s,
-        &|| KingSaiaNode::network(s.n, iters, &inputs, s.seed),
-        adversary,
-        Eval::Inputs(&inputs),
-        downgraded,
-    )
+impl<B: Probe> Drive for Once<NoOracle, B> {
+    type Out = Ran<NoOracle, B>;
+
+    fn drive<P, L, A>(self, t: Trial<'_, P, L>, adversary: A, downgraded: bool) -> Self::Out
+    where
+        P: Protocol + Send,
+        P::Msg: Send + Sync,
+        L: MessagePlane<P::Msg> + Sync,
+        A: Adversary<P, L>,
+    {
+        run_once(t, adversary, downgraded, self.0, self.1)
+    }
+}
+
+impl<B: Probe> Drive for Once<LemmaSuite, B> {
+    type Out = Ran<LemmaSuite, B>;
+
+    fn drive<P, L, A>(self, t: Trial<'_, P, L>, adversary: A, downgraded: bool) -> Self::Out
+    where
+        P: Protocol + Send,
+        P::Msg: Send + Sync,
+        L: MessagePlane<P::Msg> + Sync,
+        A: Adversary<P, L>,
+    {
+        run_once(t, adversary, downgraded, self.0, self.1)
+    }
+}
+
+/// Record the live run with a fresh probe attached, then re-drive the
+/// engine on the same plane from the trace — the recorded adversary
+/// actions and arrivals standing in for the strategy and the network
+/// model — with another fresh probe attached. Neither side carries an
+/// oracle, so the two probes see comparable runs.
+pub(crate) struct RecordReplay<B>(pub(crate) fn() -> B);
+
+/// Both sides of a [`RecordReplay`] drive.
+pub(crate) struct Replayed<B> {
+    pub(crate) live: TrialResult,
+    pub(crate) replayed: TrialResult,
+    pub(crate) live_probe: B,
+    pub(crate) replay_probe: B,
+}
+
+impl<B: Probe> Drive for RecordReplay<B> {
+    type Out = Replayed<B>;
+
+    fn drive<P, L, A>(self, t: Trial<'_, P, L>, adversary: A, downgraded: bool) -> Self::Out
+    where
+        P: Protocol + Send,
+        P::Msg: Send + Sync,
+        L: MessagePlane<P::Msg> + Sync,
+        A: Adversary<P, L>,
+    {
+        let name = adversary.name();
+        let (live_report, recorder, live_probe) = simulate(
+            t.s,
+            (t.make_nodes)(),
+            adversary,
+            TraceRecorder::new(),
+            (self.0)(),
+        );
+        let (replay_adv, replay_delivery) = recorder.into_recording().into_replay(name);
+        let (replay_report, NoOracle, replay_probe) =
+            Simulation::<P, _, _, NoOracle, B, L>::with_instruments(
+                sim_config(t.s),
+                (t.make_nodes)(),
+                replay_adv,
+                replay_delivery,
+                NoOracle,
+                (self.0)(),
+            )
+            .run_instrumented();
+        Replayed {
+            live: t.result(&live_report, name, downgraded),
+            replayed: t.result(&replay_report, name, downgraded),
+            live_probe,
+            replay_probe,
+        }
+    }
 }
 
 /// Dispatches the one-shot coin over the attack axis. Protocol-specific
 /// attacks that don't understand the coin degrade to [`CoinKiller`], the
 /// strongest coin-aware adversary (recorded via `downgraded`).
-fn dispatch_coin<D: Drive>(d: &D, s: &Scenario) -> D::Out {
+fn dispatch_coin<D, L>(d: D, s: &Scenario) -> D::Out
+where
+    D: Drive,
+    L: MessagePlane<CoinMsg> + Sync,
+{
+    let make = || CoinFlipNode::network(s.n);
+    let t = Trial::<_, L>::new(s, &make, Eval::Coin);
     let killer = || CoinKiller::new(NonRushingPolicy::Guaranteed);
     match s.attack {
-        AttackSpec::Benign => run_coin(d, s, Benign, false),
-        AttackSpec::StaticSilent => run_coin(
-            d,
-            s,
+        AttackSpec::Benign => d.drive(t, Benign, false),
+        AttackSpec::StaticSilent => d.drive(
+            t,
             StaticByzantine::first_t(s.t, StaticBehavior::Silence),
             false,
         ),
-        AttackSpec::StaticMirror => run_coin(
-            d,
-            s,
+        AttackSpec::StaticMirror => d.drive(
+            t,
             StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom),
             false,
         ),
-        AttackSpec::Crash { per_round } => run_coin(d, s, AdaptiveCrash::steady(per_round), false),
+        AttackSpec::Crash { per_round } => d.drive(t, AdaptiveCrash::steady(per_round), false),
         // The capped *combined* attack doesn't exist for the coin; the
         // capped coin killer stands in — a substitution, so flagged.
-        AttackSpec::FullAttackCapped { q } => run_coin(d, s, BudgetCapped::new(killer(), q), true),
-        AttackSpec::CoinKiller => run_coin(d, s, killer(), false),
+        AttackSpec::FullAttackCapped { q } => d.drive(t, BudgetCapped::new(killer(), q), true),
+        AttackSpec::CoinKiller => d.drive(t, killer(), false),
         AttackSpec::SplitVote
         | AttackSpec::FullAttack
         | AttackSpec::FullAttackFrugal
-        | AttackSpec::SamplingPoison => run_coin(d, s, killer(), true),
+        | AttackSpec::SamplingPoison => d.drive(t, killer(), true),
     }
 }
 
 /// Dispatches the sampling-majority dynamic over the attack axis.
 /// Protocol-specific attacks that don't understand it degrade to
 /// [`SamplingPoison`], the strongest sampling-aware adversary.
-fn dispatch_sampling<D: Drive>(d: &D, s: &Scenario, iters: u64) -> D::Out {
+fn dispatch_sampling<D, L>(d: D, s: &Scenario, iters: u64) -> D::Out
+where
+    D: Drive,
+    L: MessagePlane<SmMsg> + Sync,
+{
+    let iters = if iters == 0 {
+        SamplingMajorityNode::recommended_iterations(s.n)
+    } else {
+        iters
+    };
+    let inputs = s.inputs.materialize(s.n, s.seed);
+    let make = || SamplingMajorityNode::network(s.n, iters, &inputs);
+    let t = Trial::<_, L>::new(s, &make, Eval::Inputs(&inputs));
     match s.attack {
-        AttackSpec::Benign => run_sampling(d, s, iters, Benign, false),
-        AttackSpec::StaticSilent => run_sampling(
-            d,
-            s,
-            iters,
+        AttackSpec::Benign => d.drive(t, Benign, false),
+        AttackSpec::StaticSilent => d.drive(
+            t,
             StaticByzantine::first_t(s.t, StaticBehavior::Silence),
             false,
         ),
-        AttackSpec::StaticMirror => run_sampling(
-            d,
-            s,
-            iters,
+        AttackSpec::StaticMirror => d.drive(
+            t,
             StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom),
             false,
         ),
-        AttackSpec::Crash { per_round } => {
-            run_sampling(d, s, iters, AdaptiveCrash::steady(per_round), false)
-        }
+        AttackSpec::Crash { per_round } => d.drive(t, AdaptiveCrash::steady(per_round), false),
         // As with the coin: the capped combined attack degrades to the
         // capped poisoner, and the substitution is flagged.
-        AttackSpec::FullAttackCapped { q } => run_sampling(
-            d,
-            s,
-            iters,
-            BudgetCapped::new(SamplingPoison::eager(), q),
-            true,
-        ),
-        AttackSpec::SamplingPoison => run_sampling(d, s, iters, SamplingPoison::eager(), false),
+        AttackSpec::FullAttackCapped { q } => {
+            d.drive(t, BudgetCapped::new(SamplingPoison::eager(), q), true)
+        }
+        AttackSpec::SamplingPoison => d.drive(t, SamplingPoison::eager(), false),
         AttackSpec::SplitVote
         | AttackSpec::FullAttack
         | AttackSpec::FullAttackFrugal
-        | AttackSpec::CoinKiller => run_sampling(d, s, iters, SamplingPoison::eager(), true),
+        | AttackSpec::CoinKiller => d.drive(t, SamplingPoison::eager(), true),
     }
 }
 
@@ -1161,119 +585,103 @@ fn dispatch_sampling<D: Drive>(d: &D, s: &Scenario, iters: u64) -> D::Out {
 /// axis. As with Phase-King, the BA-state-aware attacks don't speak its
 /// message type; they degrade to adaptive crash, the strongest generic
 /// adversary, and the substitution is recorded via `downgraded`.
-fn dispatch_king_saia<D: Drive>(d: &D, s: &Scenario, iters: u64) -> D::Out {
+fn dispatch_king_saia<D, L>(d: D, s: &Scenario, iters: u64) -> D::Out
+where
+    D: Drive,
+    L: MessagePlane<KsMsg> + Sync,
+{
+    let iters = if iters == 0 {
+        KingSaiaNode::recommended_iterations(s.n)
+    } else {
+        iters
+    };
+    let inputs = s.inputs.materialize(s.n, s.seed);
+    let make = || KingSaiaNode::network(s.n, iters, &inputs, s.seed);
+    let t = Trial::<_, L>::new(s, &make, Eval::Inputs(&inputs));
     match s.attack {
-        AttackSpec::Benign => run_king_saia(d, s, iters, Benign, false),
-        AttackSpec::StaticSilent => run_king_saia(
-            d,
-            s,
-            iters,
+        AttackSpec::Benign => d.drive(t, Benign, false),
+        AttackSpec::StaticSilent => d.drive(
+            t,
             StaticByzantine::first_t(s.t, StaticBehavior::Silence),
             false,
         ),
-        AttackSpec::StaticMirror => run_king_saia(
-            d,
-            s,
-            iters,
+        AttackSpec::StaticMirror => d.drive(
+            t,
             StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom),
             false,
         ),
-        AttackSpec::Crash { per_round } => {
-            run_king_saia(d, s, iters, AdaptiveCrash::steady(per_round), false)
-        }
+        AttackSpec::Crash { per_round } => d.drive(t, AdaptiveCrash::steady(per_round), false),
         // The capped combined attack degrades to capped adaptive crash;
         // the substitution is flagged.
-        AttackSpec::FullAttackCapped { q } => run_king_saia(
-            d,
-            s,
-            iters,
-            BudgetCapped::new(AdaptiveCrash::steady(1), q),
-            true,
-        ),
+        AttackSpec::FullAttackCapped { q } => {
+            d.drive(t, BudgetCapped::new(AdaptiveCrash::steady(1), q), true)
+        }
         AttackSpec::SplitVote
         | AttackSpec::FullAttack
         | AttackSpec::FullAttackFrugal
         | AttackSpec::CoinKiller
-        | AttackSpec::SamplingPoison => run_king_saia(d, s, iters, AdaptiveCrash::steady(1), true),
+        | AttackSpec::SamplingPoison => d.drive(t, AdaptiveCrash::steady(1), true),
     }
 }
 
 /// Dispatches a committee-protocol scenario over the attack axis.
-fn dispatch_committee<D: Drive>(d: &D, s: &Scenario, cfg: BaConfig) -> D::Out {
-    let cfg = &cfg;
+fn dispatch_committee<D, L>(d: D, s: &Scenario, cfg: &BaConfig) -> D::Out
+where
+    D: Drive,
+    L: MessagePlane<BaMsg> + Sync,
+{
+    let inputs = s.inputs.materialize(s.n, s.seed);
+    let make = || CommitteeBa::network(cfg, &inputs);
+    let t = Trial::<_, L>::new(s, &make, Eval::Inputs(&inputs));
+    let greedy = || AdaptiveFullAttack::new(BudgetPolicy::Greedy);
     match s.attack {
-        AttackSpec::Benign => run_committee(d, s, cfg, Benign, false),
-        AttackSpec::StaticSilent => run_committee(
-            d,
-            s,
-            cfg,
+        AttackSpec::Benign => d.drive(t, Benign, false),
+        AttackSpec::StaticSilent => d.drive(
+            t,
             StaticByzantine::first_t(s.t, StaticBehavior::Silence),
             false,
         ),
-        AttackSpec::StaticMirror => run_committee(
-            d,
-            s,
-            cfg,
+        AttackSpec::StaticMirror => d.drive(
+            t,
             StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom),
             false,
         ),
-        AttackSpec::Crash { per_round } => {
-            run_committee(d, s, cfg, AdaptiveCrash::steady(per_round), false)
+        AttackSpec::Crash { per_round } => d.drive(t, AdaptiveCrash::steady(per_round), false),
+        AttackSpec::SplitVote => d.drive(t, SplitVote::new(), false),
+        AttackSpec::FullAttack => d.drive(t, greedy(), false),
+        AttackSpec::FullAttackFrugal => {
+            d.drive(t, AdaptiveFullAttack::new(BudgetPolicy::Frugal), false)
         }
-        AttackSpec::SplitVote => run_committee(d, s, cfg, SplitVote::new(), false),
-        AttackSpec::FullAttack => run_committee(
-            d,
-            s,
-            cfg,
-            AdaptiveFullAttack::new(BudgetPolicy::Greedy),
-            false,
-        ),
-        AttackSpec::FullAttackFrugal => run_committee(
-            d,
-            s,
-            cfg,
-            AdaptiveFullAttack::new(BudgetPolicy::Frugal),
-            false,
-        ),
-        AttackSpec::FullAttackCapped { q } => run_committee(
-            d,
-            s,
-            cfg,
-            BudgetCapped::new(AdaptiveFullAttack::new(BudgetPolicy::Greedy), q),
-            false,
-        ),
+        AttackSpec::FullAttackCapped { q } => d.drive(t, BudgetCapped::new(greedy(), q), false),
         // Protocol-mismatched attacks degrade to the strongest
         // committee-aware adversary — recorded via `downgraded`.
-        AttackSpec::CoinKiller | AttackSpec::SamplingPoison => run_committee(
-            d,
-            s,
-            cfg,
-            AdaptiveFullAttack::new(BudgetPolicy::Greedy),
-            true,
-        ),
+        AttackSpec::CoinKiller | AttackSpec::SamplingPoison => d.drive(t, greedy(), true),
     }
 }
 
 /// Dispatches the deterministic Phase-King baseline over the attack
 /// axis.
-fn dispatch_phase_king<D: Drive>(d: &D, s: &Scenario) -> D::Out {
+fn dispatch_phase_king<D, L>(d: D, s: &Scenario) -> D::Out
+where
+    D: Drive,
+    L: MessagePlane<PkMsg> + Sync,
+{
+    let inputs = s.inputs.materialize(s.n, s.seed);
+    let make = || PhaseKingBa::network(s.n, s.t, &inputs);
+    let t = Trial::<_, L>::new(s, &make, Eval::Inputs(&inputs));
     match s.attack {
-        AttackSpec::Benign => run_phase_king(d, s, Benign, false),
-        AttackSpec::StaticSilent => run_phase_king(
-            d,
-            s,
+        AttackSpec::Benign => d.drive(t, Benign, false),
+        AttackSpec::StaticSilent => d.drive(
+            t,
             StaticByzantine::first_t(s.t, StaticBehavior::Silence),
             false,
         ),
-        AttackSpec::StaticMirror => run_phase_king(
-            d,
-            s,
+        AttackSpec::StaticMirror => d.drive(
+            t,
             StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom),
             false,
         ),
-        AttackSpec::Crash { per_round } => {
-            run_phase_king(d, s, AdaptiveCrash::steady(per_round), false)
-        }
+        AttackSpec::Crash { per_round } => d.drive(t, AdaptiveCrash::steady(per_round), false),
         // The BA-state-aware attacks don't apply to Phase-King's message
         // type; they degrade to adaptive crash, the strongest generic
         // adversary. The substitution used to be silent — it is now
@@ -1285,7 +693,7 @@ fn dispatch_phase_king<D: Drive>(d: &D, s: &Scenario) -> D::Out {
         | AttackSpec::FullAttackFrugal
         | AttackSpec::FullAttackCapped { .. }
         | AttackSpec::CoinKiller
-        | AttackSpec::SamplingPoison => run_phase_king(d, s, AdaptiveCrash::steady(1), true),
+        | AttackSpec::SamplingPoison => d.drive(t, AdaptiveCrash::steady(1), true),
     }
 }
 
@@ -1293,30 +701,25 @@ fn dispatch_phase_king<D: Drive>(d: &D, s: &Scenario) -> D::Out {
 /// for the non-committee protocols.
 pub(crate) fn committee_config(s: &Scenario) -> Option<BaConfig> {
     let cfg = match s.protocol {
-        ProtocolSpec::Paper { alpha } => BaConfig::paper(s.n, s.t, alpha).expect("valid (n, t)"),
-        ProtocolSpec::PaperLasVegas { alpha } => {
-            BaConfig::paper_las_vegas(s.n, s.t, alpha).expect("valid (n, t)")
-        }
+        ProtocolSpec::Paper { alpha } => BaConfig::paper(s.n, s.t, alpha),
+        ProtocolSpec::PaperLasVegas { alpha } => BaConfig::paper_las_vegas(s.n, s.t, alpha),
         ProtocolSpec::PaperLiteralCoin { alpha } => BaConfig::paper_las_vegas(s.n, s.t, alpha)
-            .expect("valid (n, t)")
-            .with_coin_round(CoinRoundMode::Literal),
-        ProtocolSpec::ChorCoan { beta } => {
-            BaConfig::chor_coan(s.n, s.t, beta).expect("valid (n, t)")
-        }
-        ProtocolSpec::RabinDealer => {
-            BaConfig::rabin_dealer(s.n, s.t, s.seed ^ 0xDEA1).expect("valid (n, t)")
-        }
-        ProtocolSpec::BenOrPrivate => BaConfig::ben_or_private(s.n, s.t).expect("valid (n, t)"),
+            .map(|c| c.with_coin_round(CoinRoundMode::Literal)),
+        ProtocolSpec::ChorCoan { beta } => BaConfig::chor_coan(s.n, s.t, beta),
+        ProtocolSpec::RabinDealer => BaConfig::rabin_dealer(s.n, s.t, s.seed ^ 0xDEA1),
+        ProtocolSpec::BenOrPrivate => BaConfig::ben_or_private(s.n, s.t),
         ProtocolSpec::PhaseKing
         | ProtocolSpec::CommonCoin
         | ProtocolSpec::SamplingMajority { .. }
         | ProtocolSpec::KingSaia { .. } => return None,
     };
-    Some(cfg)
+    Some(cfg.expect("valid (n, t)"))
 }
 
 /// Runs a scenario's committee-family protocol against a caller-supplied
-/// adversary — the facade's escape hatch for custom attack research.
+/// adversary — the facade's escape hatch for custom attack research. The
+/// adversary is typed against the dense plane, so the run uses it
+/// whatever the scenario's `plane` asks for.
 ///
 /// # Panics
 ///
@@ -1332,24 +735,43 @@ where
             s.protocol.name()
         )
     });
-    run_committee(&Plain, s, &cfg, adversary, false)
+    let inputs = s.inputs.materialize(s.n, s.seed);
+    let make = || CommitteeBa::network(&cfg, &inputs);
+    let t = Trial::<_, Dense<CommitteeBa>>::new(s, &make, Eval::Inputs(&inputs));
+    Once(NoOracle, NoProbe).drive(t, adversary, false).result
 }
 
-/// Drives one scenario to completion under the given strategy.
+/// Drives one scenario to completion under the given strategy, on the
+/// plane [`Family::plane`] picks for it — the one path every entry
+/// point takes.
 ///
 /// # Panics
 ///
 /// Panics if the scenario's `(n, t)` violates a protocol precondition
 /// (`n ≥ 3t + 1`); scenario construction is programmer-controlled.
-pub(crate) fn drive_scenario<D: Drive>(d: &D, s: &Scenario) -> D::Out {
+pub(crate) fn drive_scenario<D: Drive>(d: D, s: &Scenario) -> D::Out {
+    let plane = Family::of(s.protocol).plane(s.plane);
     if let Some(cfg) = committee_config(s) {
-        return dispatch_committee(d, s, cfg);
+        return match plane {
+            PlaneSpec::Packed => dispatch_committee::<D, Packed<CommitteeBa>>(d, s, &cfg),
+            _ => dispatch_committee::<D, Dense<CommitteeBa>>(d, s, &cfg),
+        };
     }
-    match s.protocol {
-        ProtocolSpec::CommonCoin => dispatch_coin(d, s),
-        ProtocolSpec::SamplingMajority { iters } => dispatch_sampling(d, s, iters),
-        ProtocolSpec::KingSaia { iters } => dispatch_king_saia(d, s, iters),
-        ProtocolSpec::PhaseKing => dispatch_phase_king(d, s),
+    match (s.protocol, plane) {
+        (ProtocolSpec::SamplingMajority { iters }, PlaneSpec::Sparse) => {
+            dispatch_sampling::<D, Sparse<SamplingMajorityNode>>(d, s, iters)
+        }
+        (ProtocolSpec::SamplingMajority { iters }, _) => {
+            dispatch_sampling::<D, Dense<SamplingMajorityNode>>(d, s, iters)
+        }
+        (ProtocolSpec::KingSaia { iters }, PlaneSpec::Sparse) => {
+            dispatch_king_saia::<D, Sparse<KingSaiaNode>>(d, s, iters)
+        }
+        (ProtocolSpec::KingSaia { iters }, _) => {
+            dispatch_king_saia::<D, Dense<KingSaiaNode>>(d, s, iters)
+        }
+        (ProtocolSpec::CommonCoin, _) => dispatch_coin::<D, Dense<CoinFlipNode>>(d, s),
+        (ProtocolSpec::PhaseKing, _) => dispatch_phase_king::<D, Dense<PhaseKingBa>>(d, s),
         _ => unreachable!("committee-family protocols are handled above"),
     }
 }
@@ -1360,17 +782,18 @@ pub(crate) fn drive_scenario<D: Drive>(d: &D, s: &Scenario) -> D::Out {
 ///
 /// Same preconditions as [`drive_scenario`].
 pub(crate) fn run_scenario(s: &Scenario) -> TrialResult {
-    if s.plane == PlaneSpec::Packed {
-        if let Some(r) = run_scenario_packed(s) {
-            return r;
-        }
-    }
-    if s.plane == PlaneSpec::Sparse {
-        if let Some(r) = run_scenario_sparse(s) {
-            return r;
-        }
-    }
-    drive_scenario(&Plain, s)
+    drive_scenario(Once(NoOracle, NoProbe), s).result
+}
+
+/// Runs one scenario to completion with `probe` attached, on the same
+/// path as [`run_scenario`], and returns the probe with the result.
+///
+/// # Panics
+///
+/// Same preconditions as [`drive_scenario`].
+pub(crate) fn run_scenario_with_probe<B: Probe>(s: &Scenario, probe: B) -> (TrialResult, B) {
+    let ran = drive_scenario(Once(NoOracle, probe), s);
+    (ran.result, ran.probe)
 }
 
 /// Runs `trials` seed-shifted copies of a base scenario in parallel,
@@ -1569,6 +992,45 @@ mod tests {
             run_scenario(&s),
             run_scenario(&s.clone().with_plane(PlaneSpec::Dense))
         );
+    }
+
+    #[test]
+    fn plane_table_is_pinned() {
+        use PlaneSpec::{Dense, Packed, Sparse};
+        // Requested Dense, Packed, Sparse → the plane that runs.
+        for (family, runs_on) in [
+            (Family::Committee, [Dense, Packed, Dense]),
+            (Family::Sampled, [Dense, Dense, Sparse]),
+            (Family::DenseOnly, [Dense, Dense, Dense]),
+        ] {
+            for (requested, expected) in [Dense, Packed, Sparse].into_iter().zip(runs_on) {
+                assert_eq!(
+                    family.plane(requested),
+                    expected,
+                    "{family:?} asked for {requested:?}"
+                );
+            }
+        }
+        for (proto, family) in [
+            (ProtocolSpec::Paper { alpha: 2.0 }, Family::Committee),
+            (
+                ProtocolSpec::PaperLasVegas { alpha: 2.0 },
+                Family::Committee,
+            ),
+            (
+                ProtocolSpec::PaperLiteralCoin { alpha: 2.0 },
+                Family::Committee,
+            ),
+            (ProtocolSpec::ChorCoan { beta: 1.0 }, Family::Committee),
+            (ProtocolSpec::RabinDealer, Family::Committee),
+            (ProtocolSpec::BenOrPrivate, Family::Committee),
+            (ProtocolSpec::SamplingMajority { iters: 0 }, Family::Sampled),
+            (ProtocolSpec::KingSaia { iters: 0 }, Family::Sampled),
+            (ProtocolSpec::CommonCoin, Family::DenseOnly),
+            (ProtocolSpec::PhaseKing, Family::DenseOnly),
+        ] {
+            assert_eq!(Family::of(proto), family, "{}", proto.name());
+        }
     }
 
     #[test]

@@ -222,9 +222,21 @@ impl NetworkSpec {
 
 /// Which message plane a run stores its rounds on.
 ///
-/// Purely an execution-strategy knob: both planes reproduce the same
-/// observable semantics, so `TrialResult`s are identical either way —
-/// the packed plane is just faster at large `n` for binary protocols.
+/// Purely an execution-strategy knob: every plane reproduces the same
+/// observable semantics, so `TrialResult`s, oracle reports and every
+/// artifact are identical whichever runs. Every entry point (run,
+/// check, observe, provenance and the three replays) honours it through
+/// one table, by protocol family:
+///
+/// | requested | committee family | sampled family | coin, Phase-King |
+/// |---|---|---|---|
+/// | `Dense` | dense | dense | dense |
+/// | `Packed` | packed | dense | dense |
+/// | `Sparse` | dense | sparse | dense |
+///
+/// The committee family is the paper's protocols plus Chor–Coan,
+/// Rabin's dealer and Ben-Or; the sampled family is sampling majority
+/// and King–Saia.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PlaneSpec {
     /// The dense broadcast-base + deviation-cell mailbox (the default;
@@ -232,12 +244,12 @@ pub enum PlaneSpec {
     #[default]
     Dense,
     /// The bit-packed binary plane (u64 bitset rows, word-parallel
-    /// tallies). Only the committee-BA family runs on it; the runner's
-    /// packed entry point reports other protocols as unsupported.
+    /// tallies): faster at large `n` for the committee family, whose
+    /// messages pack to a 32-bit code.
     Packed,
-    /// The sparse adjacency plane (per-sender receiver lists, never an
-    /// `n × n` allocation). The sampled / sub-quadratic protocol family
-    /// runs on it; other protocols fall back to the dense plane.
+    /// The sparse plane (one flat per-round arena of deviation cells,
+    /// never an `n × n` allocation): memory follows the traffic, for
+    /// the sampled family's sub-quadratic runs.
     Sparse,
 }
 

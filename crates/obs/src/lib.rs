@@ -50,4 +50,4 @@ pub use export::{
 pub use metrics::{Histogram, MetricsRegistry, POW2_BOUNDS};
 pub use probe::EventProbe;
 pub use provenance::{chrome_trace_with_flows, ConeStats, ProvenanceProbe, RoundEdges};
-pub use timing::{percentile, summarize_latencies, LatencySummary, Stopwatch, WallClock};
+pub use timing::{summarize_latencies, LatencySummary, Stopwatch, WallClock};

@@ -74,7 +74,9 @@ pub mod names {
 
 /// One round's arrival relation, retained for export: the broadcast-base
 /// bitset, the corruption bitset at scan time, and the deviating
-/// receivers' knocked/extra rows (clean receivers are implicit).
+/// receivers' knocked and extra senders (clean receivers are implicit).
+/// A round costs O(n/64 + deviations) words, never a full row per
+/// receiver, so point-to-point traffic at large `n` stays cheap.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundEdges {
     /// Round index.
@@ -83,9 +85,11 @@ pub struct RoundEdges {
     pub base_senders: Vec<u64>,
     /// Bit `s`: sender `s` was corrupted at scan time.
     pub corrupted: Vec<u64>,
-    /// `(receiver, knocked_row, extra_row)` for each receiver whose
-    /// in-set deviates from the bases, ascending by receiver.
-    pub deviations: Vec<(u32, Vec<u64>, Vec<u64>)>,
+    /// `(receiver, knocked, extra)` for each receiver whose in-set
+    /// deviates from the bases, ascending by receiver: the base senders
+    /// knocked out, and the senders of explicit messages, each
+    /// ascending.
+    pub deviations: Vec<(u32, Vec<u32>, Vec<u32>)>,
 }
 
 impl RoundEdges {
@@ -93,34 +97,29 @@ impl RoundEdges {
     /// round, receiver-major then sender order. `explicit` is true for
     /// deviation-cell messages, false for broadcast-base copies.
     pub fn for_each_edge(&self, n: usize, mut f: impl FnMut(u32, u32, bool)) {
-        let words = self.base_senders.len();
-        let mut di = 0usize;
+        let mut devs = self.deviations.iter().peekable();
         for r in 0..n as u32 {
-            let dev = self
-                .deviations
-                .get(di)
-                .filter(|(dr, _, _)| *dr == r)
-                .map(|(_, k, e)| (k, e));
-            if dev.is_some() {
-                di += 1;
-            }
-            for w in 0..words {
-                let (base_word, extra_word) = match dev {
-                    Some((k, e)) => (self.base_senders[w] & !k[w], e[w]),
-                    None => (self.base_senders[w], 0),
-                };
-                let mut bits = base_word & !extra_word;
-                while bits != 0 {
-                    let s = (w * 64 + bits.trailing_zeros() as usize) as u32;
-                    f(s, r, false);
-                    bits &= bits - 1;
+            let Some((_, knocked, extra)) = devs.next_if(|(dr, _, _)| *dr == r) else {
+                for s in set_bits(&self.base_senders) {
+                    f(s as u32, r, false);
                 }
-                let mut bits = extra_word;
-                while bits != 0 {
-                    let s = (w * 64 + bits.trailing_zeros() as usize) as u32;
+                continue;
+            };
+            // Merge the surviving base senders with the explicit ones;
+            // an explicit message overrides its sender's base copy.
+            let mut extra = extra.iter().copied().peekable();
+            for s in set_bits(&self.base_senders).map(|s| s as u32) {
+                while let Some(e) = extra.next_if(|&e| e < s) {
+                    f(e, r, true);
+                }
+                if extra.next_if_eq(&s).is_some() {
                     f(s, r, true);
-                    bits &= bits - 1;
+                } else if knocked.binary_search(&s).is_err() {
+                    f(s, r, false);
                 }
+            }
+            for e in extra {
+                f(e, r, true);
             }
         }
     }
@@ -479,9 +478,9 @@ impl ProvenanceProbe {
     /// summary object per node. Every line is a complete JSON object;
     /// arrays are ascending — byte-identical for identical runs.
     pub fn jsonl_graph(&self) -> String {
-        fn ids(words: &[u64]) -> String {
+        fn ids(ids: impl Iterator<Item = usize>) -> String {
             let mut s = String::from("[");
-            for (k, i) in set_bits(words).enumerate() {
+            for (k, i) in ids.enumerate() {
                 if k > 0 {
                     s.push(',');
                 }
@@ -497,8 +496,8 @@ impl ProvenanceProbe {
                 out,
                 "{{\"round\":{},\"base\":{},\"corrupted\":{}}}",
                 re.round,
-                ids(&re.base_senders),
-                ids(&re.corrupted)
+                ids(set_bits(&re.base_senders)),
+                ids(set_bits(&re.corrupted))
             );
             for (r, knocked, extra) in &re.deviations {
                 let _ = writeln!(
@@ -506,8 +505,8 @@ impl ProvenanceProbe {
                     "{{\"round\":{},\"receiver\":{},\"knocked\":{},\"extra\":{}}}",
                     re.round,
                     r,
-                    ids(knocked),
-                    ids(extra)
+                    ids(knocked.iter().map(|&s| s as usize)),
+                    ids(extra.iter().map(|&s| s as usize))
                 );
             }
         }
@@ -726,12 +725,13 @@ impl Probe for ProvenanceProbe {
             *d += s;
         }
         self.corrupted.copy_from_slice(scan.corrupted());
+        let senders = |row: &[u64]| set_bits(row).map(|s| s as u32).collect();
         let deviations = set_bits(scan.dirty())
             .map(|r| {
                 (
                     r as u32,
-                    scan.knocked_row(r).to_vec(),
-                    scan.extra_row(r).to_vec(),
+                    senders(scan.knocked_row(r)),
+                    senders(scan.extra_row(r)),
                 )
             })
             .collect();
@@ -834,7 +834,7 @@ pub fn chrome_trace_with_flows(log: &EventLog, prov: &ProvenanceProbe) -> String
             let has_extra = re
                 .deviations
                 .iter()
-                .any(|(_, _, extra)| extra[s / 64] & (1 << (s % 64)) != 0);
+                .any(|(_, _, extra)| extra.binary_search(&(s as u32)).is_ok());
             if !has_base && !has_extra {
                 continue;
             }
@@ -995,14 +995,14 @@ mod tests {
             round: 3,
             base_senders: vec![0b01],
             corrupted: vec![0],
-            deviations: vec![(1, vec![0b01], vec![0b100])],
+            deviations: vec![(1, vec![0], vec![2])],
         };
         let mut edges = Vec::new();
         re.for_each_edge(3, |s, r, explicit| edges.push((s, r, explicit)));
         // r=0: base from 0; r=1: base knocked, extra from 2; r=2: base.
         assert_eq!(edges, vec![(0, 0, false), (2, 1, true), (0, 2, false)]);
         // An extra that overrides a base must not double-report.
-        re.deviations = vec![(1, vec![0b01], vec![0b01])];
+        re.deviations = vec![(1, vec![0], vec![0])];
         edges.clear();
         re.for_each_edge(3, |s, r, explicit| edges.push((s, r, explicit)));
         assert_eq!(edges, vec![(0, 0, false), (0, 1, true), (0, 2, false)]);

@@ -13,6 +13,7 @@
 //! requested, so a run without a profile directory performs no clock
 //! reads at all.
 
+use aba_analysis::percentile_nearest_rank;
 use std::time::Instant;
 
 /// A monotonic clock anchored at its creation, reporting microseconds
@@ -118,17 +119,9 @@ impl LatencySummary {
     }
 }
 
-/// Nearest-rank percentile of an ascending-sorted slice; `q` in `[0,1]`.
-/// Returns 0 on an empty slice.
-pub fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
 /// Sorts `samples` in place and summarizes them; `None` when empty.
+/// Percentiles follow the workspace's nearest-rank convention
+/// ([`percentile_nearest_rank`]).
 pub fn summarize_latencies(samples: &mut [u64]) -> Option<LatencySummary> {
     if samples.is_empty() {
         return None;
@@ -139,9 +132,9 @@ pub fn summarize_latencies(samples: &mut [u64]) -> Option<LatencySummary> {
     Some(LatencySummary {
         count,
         min_ns: samples[0],
-        p50_ns: percentile(samples, 0.50),
-        p90_ns: percentile(samples, 0.90),
-        p99_ns: percentile(samples, 0.99),
+        p50_ns: percentile_nearest_rank(samples, 50.0),
+        p90_ns: percentile_nearest_rank(samples, 90.0),
+        p99_ns: percentile_nearest_rank(samples, 99.0),
         max_ns: samples[count - 1],
         mean_ns: (sum / count as u128) as u64,
     })
@@ -153,13 +146,15 @@ mod tests {
 
     #[test]
     fn percentile_nearest_rank() {
-        let v: Vec<u64> = (1..=100).collect();
-        assert_eq!(percentile(&v, 0.50), 50);
-        assert_eq!(percentile(&v, 0.90), 90);
-        assert_eq!(percentile(&v, 0.99), 99);
-        assert_eq!(percentile(&v, 1.0), 100);
-        assert_eq!(percentile(&[], 0.5), 0);
-        assert_eq!(percentile(&[7], 0.5), 7);
+        let mut v: Vec<u64> = (1..=100).rev().collect();
+        let s = summarize_latencies(&mut v).unwrap();
+        assert_eq!(s.p50_ns, 50);
+        assert_eq!(s.p90_ns, 90);
+        assert_eq!(s.p99_ns, 99);
+        assert_eq!(s.max_ns, 100);
+        assert_eq!(summarize_latencies(&mut []), None);
+        let s = summarize_latencies(&mut [7]).unwrap();
+        assert_eq!((s.p50_ns, s.p90_ns, s.p99_ns), (7, 7, 7));
     }
 
     #[test]

@@ -647,7 +647,7 @@ impl<M: Message> RoundMailbox<M> {
     /// [`RoundMailbox::resolve`] for every receiver without expanding a
     /// broadcast into clones — which is what keeps the `aba-check` trace
     /// recorder allocation-light.
-    pub fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<&M>)> {
+    pub fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<M>)> + '_ {
         let me = sender.index();
         let row = &self.rows[me];
         let lane = self.lane(me);
@@ -656,7 +656,7 @@ impl<M: Message> RoundMailbox<M> {
                 lane.iter().enumerate().filter_map(|(r, c)| match c {
                     Cell::Inherit => None,
                     Cell::Knocked => Some((NodeId::new(r as u32), None)),
-                    Cell::Msg(m) => Some((NodeId::new(r as u32), Some(m))),
+                    Cell::Msg(m) => Some((NodeId::new(r as u32), Some(m.clone()))),
                 })
             })
             .into_iter()

@@ -972,6 +972,33 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
         self.is_silent_row(sender.index())
     }
 
+    fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<M>)> + '_ {
+        let me = sender.index();
+        // Walk the row's `dev` lane a word at a time; `has` tells an
+        // explicit cell from a knock-out.
+        let lane: &[u64] = if self.dense[me] {
+            &self.dev[me * self.words..(me + 1) * self.words]
+        } else {
+            &[]
+        };
+        let set_bits = |word: u64| {
+            std::iter::successors((word != 0).then_some(word), |&b| {
+                let rest = b & (b - 1);
+                (rest != 0).then_some(rest)
+            })
+            .map(|b| b.trailing_zeros() as usize)
+        };
+        lane.iter()
+            .enumerate()
+            .flat_map(move |(w, &word)| set_bits(word).map(move |b| w * 64 + b))
+            .map(move |r| {
+                let m = self
+                    .bit(&self.has, me, r)
+                    .then(|| M::unpack(self.codes[me][r]));
+                (NodeId::new(r as u32), m)
+            })
+    }
+
     fn inbox(&self, receiver: NodeId) -> Inbox<'_, M> {
         Inbox::packed(self, M::unpack, receiver)
     }

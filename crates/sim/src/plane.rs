@@ -120,6 +120,18 @@ pub trait MessagePlane<M: Message>: Default {
     /// included).
     fn is_silent(&self, sender: NodeId) -> bool;
 
+    /// `sender`'s deviations from its broadcast base, by value and in
+    /// ascending receiver order: `(receiver, None)` for a knock-out,
+    /// `(receiver, Some(m))` for an explicit message. Yields nothing for
+    /// silent and pure-broadcast rows. With
+    /// [`MessagePlane::broadcast_base`] this reproduces every
+    /// [`MessagePlane::resolve_value`] without expanding a broadcast.
+    /// Walking every sender costs no more than
+    /// [`MessagePlane::scan_arrivals`]: O(n²) on the dense plane,
+    /// O(n²/64) words on the packed one, O(n + deviations) on the
+    /// sparse one.
+    fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<M>)> + '_;
+
     /// Prepares the plane for inbox reads once the round's last
     /// mutation is done; the engine calls it once per round, between
     /// delivery and receive. The default does nothing — the dense and
@@ -237,6 +249,10 @@ impl<M: Message> MessagePlane<M> for RoundMailbox<M> {
 
     fn is_silent(&self, sender: NodeId) -> bool {
         RoundMailbox::is_silent(self, sender)
+    }
+
+    fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<M>)> + '_ {
+        RoundMailbox::deviations(self, sender)
     }
 
     fn inbox(&self, receiver: NodeId) -> Inbox<'_, M> {

@@ -1173,6 +1173,22 @@ impl<M: Message> MessagePlane<M> for SparseMailbox<M> {
         SparseMailbox::is_silent(self, sender)
     }
 
+    fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<M>)> + '_ {
+        let row = &self.rows[sender.index()];
+        let cells = if row.deviated {
+            row.cells(&self.arena)
+        } else {
+            &[]
+        };
+        cells.iter().map(|slot| {
+            let m = match &slot.cell {
+                SparseCell::Knocked => None,
+                SparseCell::Msg(m) => Some(m.clone()),
+            };
+            (NodeId::new(slot.receiver), m)
+        })
+    }
+
     fn build_inbox_index(&mut self) {
         SparseMailbox::build_inbox_index(self);
     }

@@ -242,3 +242,25 @@ fn packed_plane_matches_dense_mailbox() {
         }
     }
 }
+
+#[test]
+fn recording_view_matches_dense_mailbox() {
+    // `broadcast_base` plus `deviations` is the trace recorder's view of
+    // a row; the packed plane must walk the dense plane's cells, in the
+    // same receiver order, across word boundaries.
+    for n in [1usize, 2, 17, 64, 257] {
+        let mut gen = SmallRng::seed_from_u64(0xDE71 ^ n as u64);
+        for case in 0..4 {
+            let mut dense: RoundMailbox<Tm> = RoundMailbox::new(n);
+            let mut packed: PackedMailbox<Tm> = PackedMailbox::new(n);
+            for step in 0..gen.gen_range(4..40usize) {
+                random_op(&mut gen, &mut dense, &mut packed, n);
+                for s in (0..n as u32).map(NodeId::new) {
+                    let d: Vec<_> = MessagePlane::deviations(&dense, s).collect();
+                    let p: Vec<_> = MessagePlane::deviations(&packed, s).collect();
+                    assert_eq!(d, p, "n={n} case={case} step={step}: deviations({s})");
+                }
+            }
+        }
+    }
+}

@@ -369,3 +369,25 @@ fn mutating_an_indexed_row_invalidates_the_index() {
         }
     }
 }
+
+#[test]
+fn recording_view_matches_dense_mailbox() {
+    // `broadcast_base` plus `deviations` is the trace recorder's view of
+    // a row; the sparse plane must walk the dense plane's cells, in the
+    // same receiver order.
+    for n in [1usize, 2, 17, 64, 257] {
+        let mut gen = SmallRng::seed_from_u64(0xDE75 ^ n as u64);
+        for case in 0..4 {
+            let mut dense: RoundMailbox<Tm> = RoundMailbox::new(n);
+            let mut sparse: SparseMailbox<Tm> = SparseMailbox::new(n);
+            for step in 0..gen.gen_range(4..40usize) {
+                random_op(&mut gen, &mut dense, &mut sparse, n);
+                for s in (0..n as u32).map(NodeId::new) {
+                    let d: Vec<_> = MessagePlane::deviations(&dense, s).collect();
+                    let sp: Vec<_> = MessagePlane::deviations(&sparse, s).collect();
+                    assert_eq!(d, sp, "n={n} case={case} step={step}: deviations({s})");
+                }
+            }
+        }
+    }
+}

@@ -8,16 +8,26 @@
 //! tests pin threads = 1 against threads = 4 on the same six scenarios
 //! as `tests/trace_replay.rs` / `tests/obs_determinism.rs`.
 //!
-//! Plane equivalence: routing a committee-family scenario through the
-//! bit-packed binary plane must reproduce the dense `TrialResult`
-//! exactly — same verdicts, same round/message/bit accounting — and a
-//! non-committee protocol asked for the packed plane silently stays
-//! dense, so the switch is safe to set campaign-wide.
+//! Plane equivalence: every entry point honours `Scenario::plane`
+//! through one (protocol family × plane) table — the committee family
+//! runs on dense or packed, the sampled family on dense or sparse, the
+//! coin and Phase-King on dense. A routed plane must reproduce the
+//! dense run exactly: the `TrialResult` (same verdicts, same
+//! round/message/bit accounting), and for the checked, observed,
+//! replayed and provenance-traced entry points the oracle report, the
+//! rendered event log and metrics, and the provenance summary, DOT and
+//! line-JSON, byte for byte. A protocol asked for a plane its family
+//! does not use stays dense, so the switch is safe to set
+//! campaign-wide.
 
-use adaptive_ba::harness::{check_scenario, replay_scenario};
+use adaptive_ba::harness::{
+    check_scenario, replay_scenario, run_scenario, run_scenario_with_probe,
+};
+use adaptive_ba::obs::EventProbe;
 use adaptive_ba::{
-    observe_replay, observe_scenario, AttackSpec, CampaignSpec, DelayScheduler, InputSpec,
-    NetworkSpec, PlaneSpec, ProtocolSpec, RoundCap, RunOptions, ScenarioBuilder, StopRule,
+    observe_replay, observe_scenario, provenance_replay, provenance_scenario, AttackSpec,
+    CampaignSpec, DelayScheduler, InputSpec, NetworkSpec, PlaneSpec, ProtocolSpec, RoundCap,
+    RunOptions, Scenario, ScenarioBuilder, StopRule,
 };
 
 /// The six pinned scenarios (lockstep with `tests/trace_replay.rs` and
@@ -261,8 +271,8 @@ fn sparse_plane_is_thread_invariant() {
 
 #[test]
 fn sparse_live_matches_recorded_replay() {
-    // Trace recording rides the dense drives; the sparse plane must
-    // produce exactly the trial the recorded replay re-derives.
+    // The dense scenario's record/replay differential; the sparse
+    // plane must produce exactly the trial its replay re-derives.
     for (label, builder) in sampled_pinned() {
         let sparse_live = builder.clone().plane(PlaneSpec::Sparse).run();
         let b = builder.clone();
@@ -341,5 +351,131 @@ fn packed_plane_covers_every_committee_attack() {
         let dense = base.clone().run();
         let packed = base.clone().plane(PlaneSpec::Packed).run();
         assert_eq!(dense, packed, "{attack:?}: packed plane diverged");
+    }
+}
+
+/// Runs the six non-plain entry points on `dense` and on `other` (the
+/// same scenario on another plane) and asserts byte-identical output.
+fn assert_entry_points_match(label: &str, dense: &Scenario, other: &Scenario) {
+    let (a, b) = (check_scenario(dense), check_scenario(other));
+    assert_eq!(a.result, b.result, "{label}: check result");
+    assert_eq!(a.oracle, b.oracle, "{label}: check oracle report");
+
+    let (a, b) = (observe_scenario(dense), observe_scenario(other));
+    assert_eq!(a.result, b.result, "{label}: observe result");
+    assert_eq!(a.oracle, b.oracle, "{label}: observe oracle report");
+    assert_eq!(a.events.render(), b.events.render(), "{label}: event log");
+    assert_eq!(a.metrics.render(), b.metrics.render(), "{label}: metrics");
+
+    let (a, b) = (replay_scenario(dense), replay_scenario(other));
+    assert_eq!(a, b, "{label}: replay outcome");
+    assert!(b.is_faithful(), "{label}: replay not faithful");
+
+    let (a, b) = (observe_replay(dense), observe_replay(other));
+    assert_eq!(a.live, b.live, "{label}: observe_replay live");
+    assert_eq!(a.replayed, b.replayed, "{label}: observe_replay replayed");
+    for (x, y, side) in [
+        (&a.live_events, &b.live_events, "live"),
+        (&a.replayed_events, &b.replayed_events, "replayed"),
+    ] {
+        assert_eq!(x.render(), y.render(), "{label}: {side} event log");
+    }
+    for (x, y, side) in [
+        (&a.live_metrics, &b.live_metrics, "live"),
+        (&a.replayed_metrics, &b.replayed_metrics, "replayed"),
+    ] {
+        assert_eq!(x.render(), y.render(), "{label}: {side} metrics");
+    }
+    assert!(b.channels_match(), "{label}: replay channels diverged");
+
+    let (a, b) = (provenance_scenario(dense), provenance_scenario(other));
+    assert_eq!(a.result, b.result, "{label}: provenance result");
+    assert_eq!(a.oracle, b.oracle, "{label}: provenance oracle report");
+    assert_eq!(
+        a.events.render(),
+        b.events.render(),
+        "{label}: provenance events"
+    );
+    assert_eq!(
+        a.metrics.render(),
+        b.metrics.render(),
+        "{label}: provenance metrics"
+    );
+    assert_eq!(a.summary(), b.summary(), "{label}: provenance summary");
+    assert_eq!(a.dot_graph(), b.dot_graph(), "{label}: provenance DOT");
+    assert_eq!(
+        a.jsonl_graph(),
+        b.jsonl_graph(),
+        "{label}: provenance line-JSON"
+    );
+
+    let (a, b) = (provenance_replay(dense), provenance_replay(other));
+    assert_eq!(a.live, b.live, "{label}: provenance_replay live");
+    assert_eq!(
+        a.replayed, b.replayed,
+        "{label}: provenance_replay replayed"
+    );
+    for (x, y, side) in [
+        (&a.live_provenance, &b.live_provenance, "live"),
+        (&a.replayed_provenance, &b.replayed_provenance, "replayed"),
+    ] {
+        assert_eq!(x.summary(), y.summary(), "{label}: {side} summary");
+        assert_eq!(x.dot_graph(), y.dot_graph(), "{label}: {side} DOT");
+        assert_eq!(
+            x.jsonl_graph(),
+            y.jsonl_graph(),
+            "{label}: {side} line-JSON"
+        );
+    }
+    assert!(b.artifacts_match(), "{label}: replay provenance diverged");
+}
+
+#[test]
+fn packed_plane_artifacts_match_dense() {
+    for (label, builder) in committee_pinned() {
+        let dense = builder.clone().plane(PlaneSpec::Dense);
+        let packed = builder.clone().plane(PlaneSpec::Packed);
+        assert_entry_points_match(label, dense.scenario(), packed.scenario());
+    }
+}
+
+#[test]
+fn sparse_plane_artifacts_match_dense() {
+    for (label, builder) in sampled_pinned() {
+        let dense = builder.clone().plane(PlaneSpec::Dense);
+        let sparse = builder.clone().plane(PlaneSpec::Sparse);
+        assert_entry_points_match(label, dense.scenario(), sparse.scenario());
+    }
+}
+
+#[test]
+fn probed_runs_match_plain_runs_on_every_plane() {
+    let routed = committee_pinned()
+        .into_iter()
+        .map(|(label, b)| (label, b, PlaneSpec::Packed))
+        .chain(
+            sampled_pinned()
+                .into_iter()
+                .map(|(label, b)| (label, b, PlaneSpec::Sparse)),
+        );
+    for (label, builder, routed_plane) in routed {
+        for plane in [PlaneSpec::Dense, routed_plane] {
+            let b = builder.clone().plane(plane);
+            let (result, probe) = run_scenario_with_probe(b.scenario(), EventProbe::new());
+            assert_eq!(
+                result,
+                run_scenario(b.scenario()),
+                "{label} on {}: probed run diverged",
+                plane.name()
+            );
+            let (events, metrics) = probe.into_parts();
+            assert!(!events.is_empty(), "{label}: the probe saw nothing");
+            assert_eq!(
+                metrics.counter("sim.rounds"),
+                result.rounds,
+                "{label} on {}: probe round count",
+                plane.name()
+            );
+        }
     }
 }
