@@ -252,8 +252,8 @@ impl ScenarioBuilder {
 /// Runs one fully-specified scenario to completion — the by-reference
 /// runner hook for external orchestrators (the `aba-sweep` campaign
 /// executor schedules individual `(cell, trial)` tasks through this,
-/// reusing the same monomorphized protocol × adversary × network
-/// dispatch as [`ScenarioBuilder::run`] without cloning the scenario).
+/// reusing the same protocol × plane × network dispatch and attack
+/// table as [`ScenarioBuilder::run`] without cloning the scenario).
 ///
 /// # Panics
 ///

@@ -7,8 +7,9 @@
 //! reproducible experiments E1–E16 documented in EXPERIMENTS.md at the
 //! repository root (run them with `aba-experiments`, which lives in
 //! `aba-sweep`). External orchestrators schedule individual trials
-//! through the [`run_scenario`] hook, reusing the same monomorphized
-//! dispatch as the facade.
+//! through the [`run_scenario`] hook, reusing the facade's dispatch:
+//! one engine per protocol × plane × network model, with the adversary
+//! picked at run time.
 //!
 //! ## Running a scenario
 //!

@@ -1,20 +1,26 @@
 //! Trial execution: scenario dispatch and the parallel batch runner.
 //!
 //! This module is the *engine room* of the [`crate::ScenarioBuilder`]
-//! facade: it monomorphizes the declarative [`Scenario`] into a concrete
-//! protocol/adversary/plane combination and runs it. It is crate-private
-//! on purpose — downstream code composes runs exclusively through the
-//! facade.
+//! facade: it turns the declarative [`Scenario`] into a concrete
+//! protocol and message plane plus a boxed adversary, and runs them. It
+//! is crate-private on purpose — downstream code composes runs
+//! exclusively through the facade.
 //!
 //! There is one run path. [`drive_scenario`] asks [`Family::plane`]
-//! which message plane the scenario runs on, dispatches the protocol
-//! family's attack table once, generic over that plane, and hands the
-//! combination to a [`Drive`] strategy, which runs it through the one
-//! network dispatch ([`simulate`]). Two strategies serve every entry
-//! point: [`Once`] (one run with an oracle and a probe attached — the
-//! plain, probed, checked, observed and provenance-traced runs) and
-//! [`RecordReplay`] (record the live run, re-drive the engine from the
-//! trace on the same plane, with a probe on each side).
+//! which message plane the scenario runs on, picks the adversary from
+//! the attack table — the four rows every family shares, then the
+//! family's own — and hands the combination to a [`Drive`] strategy,
+//! which runs it through the one network dispatch ([`simulate`]). Two
+//! strategies serve every entry point: [`Once`] (one run with a lemma
+//! suite and a probe attached — the plain, probed, checked, observed and
+//! provenance-traced runs) and [`RecordReplay`] (record the live run,
+//! re-drive the engine from the trace on the same plane, with a probe on
+//! each side).
+//!
+//! The engine is compiled once per protocol × plane × network model ×
+//! drive. The adversary is not a type parameter: it is an [`Attack`], a
+//! boxed trait object whose `act` runs once per round, so adding an
+//! attack adds no engine body.
 
 use crate::scenario::{AttackSpec, NetworkSpec, PlaneSpec, ProtocolSpec, Scenario};
 use aba_adversary::{AdaptiveCrash, Benign, BudgetCapped, StaticBehavior, StaticByzantine};
@@ -29,7 +35,7 @@ use aba_check::{LemmaSuite, TraceRecorder};
 use aba_coin::{CoinFlipNode, CoinMsg};
 use aba_net::{BoundedDelay, LossyLinks, NetDelivery, NetworkModel, Partition, Synchronous};
 use aba_sim::adversary::Adversary;
-use aba_sim::oracle::{NoOracle, Oracle};
+use aba_sim::oracle::Oracle;
 use aba_sim::probe::{NoProbe, Probe};
 use aba_sim::protocol::Protocol;
 use aba_sim::{
@@ -288,20 +294,26 @@ impl<'a, P, L> Trial<'a, P, L> {
     }
 }
 
+/// An adversary picked at run time. The engine asks it to act once per
+/// round, through one virtual call, so one engine body serves every
+/// attack.
+pub(crate) type Attack<'a, P, L> = Box<dyn Adversary<P, L> + 'a>;
+
 /// Runs one trial on plane `L` under the scenario's network conditions,
 /// with an oracle and a probe attached — the one network dispatch every
-/// drive goes through, static-dispatch for every protocol × adversary ×
-/// network × plane × instrument combination. Oracles and probes
-/// observe only, so the report is the uninstrumented one.
+/// drive goes through, statically dispatched for every protocol ×
+/// network × plane × instrument combination and shared by every attack.
+/// Oracles and probes observe only, so the report is the uninstrumented
+/// one.
 ///
 /// The model is seeded from the scenario's master seed on the dedicated
 /// network RNG stream, so the same seed reproduces the same drops and
 /// delays — and switching models never perturbs node or adversary
 /// randomness.
-fn simulate<P, L, A, O, B>(
+fn simulate<P, L, O, B>(
     s: &Scenario,
     nodes: Vec<P>,
-    adversary: A,
+    adversary: Attack<'_, P, L>,
     oracle: O,
     probe: B,
 ) -> (RunReport, O, B)
@@ -309,7 +321,6 @@ where
     P: Protocol + Send,
     P::Msg: Send + Sync,
     L: MessagePlane<P::Msg> + Sync,
-    A: Adversary<P, L>,
     O: Oracle<P::Msg, L>,
     B: Probe,
 {
@@ -341,11 +352,11 @@ where
 }
 
 /// [`simulate`] under one concrete network model.
-fn on_network<P, L, A, O, B, N>(
+fn on_network<P, L, O, B, N>(
     s: &Scenario,
     model: N,
     nodes: Vec<P>,
-    adversary: A,
+    adversary: Attack<'_, P, L>,
     oracle: O,
     probe: B,
 ) -> (RunReport, O, B)
@@ -353,13 +364,12 @@ where
     P: Protocol + Send,
     P::Msg: Send + Sync,
     L: MessagePlane<P::Msg> + Sync,
-    A: Adversary<P, L>,
     O: Oracle<P::Msg, L>,
     B: Probe,
     N: NetworkModel,
 {
     let delivery = NetDelivery::new(model, s.seed);
-    Simulation::<P, A, _, O, B, L>::with_instruments(
+    Simulation::<P, _, _, O, B, L>::with_instruments(
         sim_config(s),
         nodes,
         adversary,
@@ -370,92 +380,70 @@ where
     .run_instrumented()
 }
 
-/// An execution strategy over the monomorphized protocol × adversary ×
-/// plane dispatch.
+/// An execution strategy over the protocol × plane dispatch and the
+/// boxed adversary the attack table picked.
 pub(crate) trait Drive {
     /// What one driven trial produces.
     type Out;
 
     /// Executes one fully-dispatched combination.
-    fn drive<P, L, A>(self, t: Trial<'_, P, L>, adversary: A, downgraded: bool) -> Self::Out
+    fn drive<P, L>(
+        self,
+        t: Trial<'_, P, L>,
+        adversary: Attack<'_, P, L>,
+        downgraded: bool,
+    ) -> Self::Out
     where
         P: Protocol + Send,
         P::Msg: Send + Sync,
-        L: MessagePlane<P::Msg> + Sync,
-        A: Adversary<P, L>;
+        L: MessagePlane<P::Msg> + Sync;
 }
 
-/// Run once with an oracle and a probe attached: [`NoOracle`] for the
-/// plain and probed runs, the scenario's [`LemmaSuite`] for the
-/// checked, observed and provenance-traced ones.
-pub(crate) struct Once<O, B>(pub(crate) O, pub(crate) B);
+/// Run once with a [`LemmaSuite`] and a probe attached: the scenario's
+/// suite for the checked, observed and provenance-traced runs, a dormant
+/// [`LemmaSuite::new`] for the plain and probed ones — so a plain run
+/// and a checked run share one engine body.
+pub(crate) struct Once<B>(pub(crate) LemmaSuite, pub(crate) B);
 
 /// What a [`Once`] drive leaves behind.
-pub(crate) struct Ran<O, B> {
+pub(crate) struct Ran<B> {
     pub(crate) result: TrialResult,
     pub(crate) report: RunReport,
-    pub(crate) oracle: O,
+    pub(crate) oracle: LemmaSuite,
     pub(crate) probe: B,
 }
 
-fn run_once<P, L, A, O, B>(
-    t: Trial<'_, P, L>,
-    adversary: A,
-    downgraded: bool,
-    oracle: O,
-    probe: B,
-) -> Ran<O, B>
-where
-    P: Protocol + Send,
-    P::Msg: Send + Sync,
-    L: MessagePlane<P::Msg> + Sync,
-    A: Adversary<P, L>,
-    O: Oracle<P::Msg, L>,
-    B: Probe,
-{
-    let name = adversary.name();
-    let (report, oracle, probe) = simulate(t.s, (t.make_nodes)(), adversary, oracle, probe);
-    Ran {
-        result: t.result(&report, name, downgraded),
-        report,
-        oracle,
-        probe,
-    }
-}
+impl<B: Probe> Drive for Once<B> {
+    type Out = Ran<B>;
 
-impl<B: Probe> Drive for Once<NoOracle, B> {
-    type Out = Ran<NoOracle, B>;
-
-    fn drive<P, L, A>(self, t: Trial<'_, P, L>, adversary: A, downgraded: bool) -> Self::Out
+    fn drive<P, L>(
+        self,
+        t: Trial<'_, P, L>,
+        adversary: Attack<'_, P, L>,
+        downgraded: bool,
+    ) -> Self::Out
     where
         P: Protocol + Send,
         P::Msg: Send + Sync,
         L: MessagePlane<P::Msg> + Sync,
-        A: Adversary<P, L>,
     {
-        run_once(t, adversary, downgraded, self.0, self.1)
-    }
-}
-
-impl<B: Probe> Drive for Once<LemmaSuite, B> {
-    type Out = Ran<LemmaSuite, B>;
-
-    fn drive<P, L, A>(self, t: Trial<'_, P, L>, adversary: A, downgraded: bool) -> Self::Out
-    where
-        P: Protocol + Send,
-        P::Msg: Send + Sync,
-        L: MessagePlane<P::Msg> + Sync,
-        A: Adversary<P, L>,
-    {
-        run_once(t, adversary, downgraded, self.0, self.1)
+        let name = adversary.name();
+        let (report, oracle, probe) = simulate(t.s, (t.make_nodes)(), adversary, self.0, self.1);
+        Ran {
+            result: t.result(&report, name, downgraded),
+            report,
+            oracle,
+            probe,
+        }
     }
 }
 
 /// Record the live run with a fresh probe attached, then re-drive the
 /// engine on the same plane from the trace — the recorded adversary
 /// actions and arrivals standing in for the strategy and the network
-/// model — with another fresh probe attached. Neither side carries an
-/// oracle, so the two probes see comparable runs.
+/// model — with another fresh probe attached. Neither side checks a
+/// lemma (the live side carries the trace recorder, the replay side a
+/// dormant [`LemmaSuite`]), so the two probes see comparable runs.
 pub(crate) struct RecordReplay<B>(pub(crate) fn() -> B);
 
 /// Both sides of a [`RecordReplay`] drive.
@@ -469,12 +457,16 @@ pub(crate) struct Replayed<B> {
 impl<B: Probe> Drive for RecordReplay<B> {
     type Out = Replayed<B>;
 
-    fn drive<P, L, A>(self, t: Trial<'_, P, L>, adversary: A, downgraded: bool) -> Self::Out
+    fn drive<P, L>(
+        self,
+        t: Trial<'_, P, L>,
+        adversary: Attack<'_, P, L>,
+        downgraded: bool,
+    ) -> Self::Out
     where
         P: Protocol + Send,
         P::Msg: Send + Sync,
         L: MessagePlane<P::Msg> + Sync,
-        A: Adversary<P, L>,
     {
         let name = adversary.name();
         let (live_report, recorder, live_probe) = simulate(
@@ -485,16 +477,15 @@ impl<B: Probe> Drive for RecordReplay<B> {
             (self.0)(),
         );
         let (replay_adv, replay_delivery) = recorder.into_recording().into_replay(name);
-        let (replay_report, NoOracle, replay_probe) =
-            Simulation::<P, _, _, NoOracle, B, L>::with_instruments(
-                sim_config(t.s),
-                (t.make_nodes)(),
-                replay_adv,
-                replay_delivery,
-                NoOracle,
-                (self.0)(),
-            )
-            .run_instrumented();
+        let (replay_report, _, replay_probe) = Simulation::<P, _, _, _, B, L>::with_instruments(
+            sim_config(t.s),
+            (t.make_nodes)(),
+            replay_adv,
+            replay_delivery,
+            LemmaSuite::new(),
+            (self.0)(),
+        )
+        .run_instrumented();
         Replayed {
             live: t.result(&live_report, name, downgraded),
             replayed: t.result(&replay_report, name, downgraded),
@@ -504,9 +495,42 @@ impl<B: Probe> Drive for RecordReplay<B> {
     }
 }
 
-/// Dispatches the one-shot coin over the attack axis. Protocol-specific
-/// attacks that don't understand the coin degrade to [`CoinKiller`], the
-/// strongest coin-aware adversary (recorded via `downgraded`).
+/// Drives a trial against the adversary its scenario's attack spec
+/// picks. The four generic attacks — benign, static silent, static
+/// mirror and adaptive crash — run as asked against every family; any
+/// other spec goes to the family's own table `own`, which returns its
+/// adversary and whether it stands in for the one asked for (recorded
+/// on the result as `downgraded`).
+fn dispatch<D, P, L>(
+    d: D,
+    t: Trial<'_, P, L>,
+    own: impl FnOnce(AttackSpec) -> (Attack<'static, P, L>, bool),
+) -> D::Out
+where
+    D: Drive,
+    P: Protocol + Send,
+    P::Msg: Send + Sync,
+    L: MessagePlane<P::Msg> + Sync,
+{
+    let s = t.s;
+    let (adversary, downgraded): (Attack<'static, P, L>, bool) = match s.attack {
+        AttackSpec::Benign => (Box::new(Benign), false),
+        AttackSpec::StaticSilent => (
+            Box::new(StaticByzantine::first_t(s.t, StaticBehavior::Silence)),
+            false,
+        ),
+        AttackSpec::StaticMirror => (
+            Box::new(StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom)),
+            false,
+        ),
+        AttackSpec::Crash { per_round } => (Box::new(AdaptiveCrash::steady(per_round)), false),
+        other => own(other),
+    };
+    d.drive(t, adversary, downgraded)
+}
+
+/// Dispatches the one-shot coin. Attacks that don't understand the coin
+/// degrade to [`CoinKiller`], the strongest coin-aware adversary.
 fn dispatch_coin<D, L>(d: D, s: &Scenario) -> D::Out
 where
     D: Drive,
@@ -515,33 +539,18 @@ where
     let make = || CoinFlipNode::network(s.n);
     let t = Trial::<_, L>::new(s, &make, Eval::Coin);
     let killer = || CoinKiller::new(NonRushingPolicy::Guaranteed);
-    match s.attack {
-        AttackSpec::Benign => d.drive(t, Benign, false),
-        AttackSpec::StaticSilent => d.drive(
-            t,
-            StaticByzantine::first_t(s.t, StaticBehavior::Silence),
-            false,
-        ),
-        AttackSpec::StaticMirror => d.drive(
-            t,
-            StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom),
-            false,
-        ),
-        AttackSpec::Crash { per_round } => d.drive(t, AdaptiveCrash::steady(per_round), false),
+    dispatch(d, t, |attack| match attack {
+        AttackSpec::CoinKiller => (Box::new(killer()), false),
         // The capped *combined* attack doesn't exist for the coin; the
         // capped coin killer stands in — a substitution, so flagged.
-        AttackSpec::FullAttackCapped { q } => d.drive(t, BudgetCapped::new(killer(), q), true),
-        AttackSpec::CoinKiller => d.drive(t, killer(), false),
-        AttackSpec::SplitVote
-        | AttackSpec::FullAttack
-        | AttackSpec::FullAttackFrugal
-        | AttackSpec::SamplingPoison => d.drive(t, killer(), true),
-    }
+        AttackSpec::FullAttackCapped { q } => (Box::new(BudgetCapped::new(killer(), q)), true),
+        _ => (Box::new(killer()), true),
+    })
 }
 
-/// Dispatches the sampling-majority dynamic over the attack axis.
-/// Protocol-specific attacks that don't understand it degrade to
-/// [`SamplingPoison`], the strongest sampling-aware adversary.
+/// Dispatches the sampling-majority dynamic. Attacks that don't
+/// understand it degrade to [`SamplingPoison`], the strongest
+/// sampling-aware adversary.
 fn dispatch_sampling<D, L>(d: D, s: &Scenario, iters: u64) -> D::Out
 where
     D: Drive,
@@ -555,36 +564,19 @@ where
     let inputs = s.inputs.materialize(s.n, s.seed);
     let make = || SamplingMajorityNode::network(s.n, iters, &inputs);
     let t = Trial::<_, L>::new(s, &make, Eval::Inputs(&inputs));
-    match s.attack {
-        AttackSpec::Benign => d.drive(t, Benign, false),
-        AttackSpec::StaticSilent => d.drive(
-            t,
-            StaticByzantine::first_t(s.t, StaticBehavior::Silence),
-            false,
-        ),
-        AttackSpec::StaticMirror => d.drive(
-            t,
-            StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom),
-            false,
-        ),
-        AttackSpec::Crash { per_round } => d.drive(t, AdaptiveCrash::steady(per_round), false),
+    let poison = SamplingPoison::eager;
+    dispatch(d, t, |attack| match attack {
+        AttackSpec::SamplingPoison => (Box::new(poison()), false),
         // As with the coin: the capped combined attack degrades to the
         // capped poisoner, and the substitution is flagged.
-        AttackSpec::FullAttackCapped { q } => {
-            d.drive(t, BudgetCapped::new(SamplingPoison::eager(), q), true)
-        }
-        AttackSpec::SamplingPoison => d.drive(t, SamplingPoison::eager(), false),
-        AttackSpec::SplitVote
-        | AttackSpec::FullAttack
-        | AttackSpec::FullAttackFrugal
-        | AttackSpec::CoinKiller => d.drive(t, SamplingPoison::eager(), true),
-    }
+        AttackSpec::FullAttackCapped { q } => (Box::new(BudgetCapped::new(poison(), q)), true),
+        _ => (Box::new(poison()), true),
+    })
 }
 
-/// Dispatches the King–Saia sampled-committee protocol over the attack
-/// axis. As with Phase-King, the BA-state-aware attacks don't speak its
-/// message type; they degrade to adaptive crash, the strongest generic
-/// adversary, and the substitution is recorded via `downgraded`.
+/// Dispatches the King–Saia sampled-committee protocol. As with
+/// Phase-King, the BA-state-aware attacks don't speak its message type;
+/// they degrade to adaptive crash, the strongest generic adversary.
 fn dispatch_king_saia<D, L>(d: D, s: &Scenario, iters: u64) -> D::Out
 where
     D: Drive,
@@ -598,33 +590,17 @@ where
     let inputs = s.inputs.materialize(s.n, s.seed);
     let make = || KingSaiaNode::network(s.n, iters, &inputs, s.seed);
     let t = Trial::<_, L>::new(s, &make, Eval::Inputs(&inputs));
-    match s.attack {
-        AttackSpec::Benign => d.drive(t, Benign, false),
-        AttackSpec::StaticSilent => d.drive(
-            t,
-            StaticByzantine::first_t(s.t, StaticBehavior::Silence),
-            false,
-        ),
-        AttackSpec::StaticMirror => d.drive(
-            t,
-            StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom),
-            false,
-        ),
-        AttackSpec::Crash { per_round } => d.drive(t, AdaptiveCrash::steady(per_round), false),
+    let crash = || AdaptiveCrash::steady(1);
+    dispatch(d, t, |attack| match attack {
         // The capped combined attack degrades to capped adaptive crash;
         // the substitution is flagged.
-        AttackSpec::FullAttackCapped { q } => {
-            d.drive(t, BudgetCapped::new(AdaptiveCrash::steady(1), q), true)
-        }
-        AttackSpec::SplitVote
-        | AttackSpec::FullAttack
-        | AttackSpec::FullAttackFrugal
-        | AttackSpec::CoinKiller
-        | AttackSpec::SamplingPoison => d.drive(t, AdaptiveCrash::steady(1), true),
-    }
+        AttackSpec::FullAttackCapped { q } => (Box::new(BudgetCapped::new(crash(), q)), true),
+        _ => (Box::new(crash()), true),
+    })
 }
 
-/// Dispatches a committee-protocol scenario over the attack axis.
+/// Dispatches a committee-protocol scenario. Protocol-mismatched attacks
+/// degrade to the strongest committee-aware adversary.
 fn dispatch_committee<D, L>(d: D, s: &Scenario, cfg: &BaConfig) -> D::Out
 where
     D: Drive,
@@ -633,34 +609,24 @@ where
     let inputs = s.inputs.materialize(s.n, s.seed);
     let make = || CommitteeBa::network(cfg, &inputs);
     let t = Trial::<_, L>::new(s, &make, Eval::Inputs(&inputs));
-    let greedy = || AdaptiveFullAttack::new(BudgetPolicy::Greedy);
-    match s.attack {
-        AttackSpec::Benign => d.drive(t, Benign, false),
-        AttackSpec::StaticSilent => d.drive(
-            t,
-            StaticByzantine::first_t(s.t, StaticBehavior::Silence),
+    let full = AdaptiveFullAttack::new;
+    dispatch(d, t, |attack| match attack {
+        AttackSpec::SplitVote => (Box::new(SplitVote::new()), false),
+        AttackSpec::FullAttack => (Box::new(full(BudgetPolicy::Greedy)), false),
+        AttackSpec::FullAttackFrugal => (Box::new(full(BudgetPolicy::Frugal)), false),
+        AttackSpec::FullAttackCapped { q } => (
+            Box::new(BudgetCapped::new(full(BudgetPolicy::Greedy), q)),
             false,
         ),
-        AttackSpec::StaticMirror => d.drive(
-            t,
-            StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom),
-            false,
-        ),
-        AttackSpec::Crash { per_round } => d.drive(t, AdaptiveCrash::steady(per_round), false),
-        AttackSpec::SplitVote => d.drive(t, SplitVote::new(), false),
-        AttackSpec::FullAttack => d.drive(t, greedy(), false),
-        AttackSpec::FullAttackFrugal => {
-            d.drive(t, AdaptiveFullAttack::new(BudgetPolicy::Frugal), false)
-        }
-        AttackSpec::FullAttackCapped { q } => d.drive(t, BudgetCapped::new(greedy(), q), false),
-        // Protocol-mismatched attacks degrade to the strongest
-        // committee-aware adversary — recorded via `downgraded`.
-        AttackSpec::CoinKiller | AttackSpec::SamplingPoison => d.drive(t, greedy(), true),
-    }
+        _ => (Box::new(full(BudgetPolicy::Greedy)), true),
+    })
 }
 
-/// Dispatches the deterministic Phase-King baseline over the attack
-/// axis.
+/// Dispatches the deterministic Phase-King baseline. The BA-state-aware
+/// attacks don't apply to its message type; they degrade to adaptive
+/// crash, the strongest generic adversary. The substitution is recorded
+/// on the result (`downgraded` + the `adversary` name), so a sweep never
+/// misattributes Phase-King numbers to an attack that never ran.
 fn dispatch_phase_king<D, L>(d: D, s: &Scenario) -> D::Out
 where
     D: Drive,
@@ -669,32 +635,7 @@ where
     let inputs = s.inputs.materialize(s.n, s.seed);
     let make = || PhaseKingBa::network(s.n, s.t, &inputs);
     let t = Trial::<_, L>::new(s, &make, Eval::Inputs(&inputs));
-    match s.attack {
-        AttackSpec::Benign => d.drive(t, Benign, false),
-        AttackSpec::StaticSilent => d.drive(
-            t,
-            StaticByzantine::first_t(s.t, StaticBehavior::Silence),
-            false,
-        ),
-        AttackSpec::StaticMirror => d.drive(
-            t,
-            StaticByzantine::first_t(s.t, StaticBehavior::MirrorRandom),
-            false,
-        ),
-        AttackSpec::Crash { per_round } => d.drive(t, AdaptiveCrash::steady(per_round), false),
-        // The BA-state-aware attacks don't apply to Phase-King's message
-        // type; they degrade to adaptive crash, the strongest generic
-        // adversary. The substitution used to be silent — it is now
-        // recorded on the result (`downgraded` + the `adversary` name),
-        // so a sweep can never misattribute Phase-King numbers to an
-        // attack that never ran.
-        AttackSpec::SplitVote
-        | AttackSpec::FullAttack
-        | AttackSpec::FullAttackFrugal
-        | AttackSpec::FullAttackCapped { .. }
-        | AttackSpec::CoinKiller
-        | AttackSpec::SamplingPoison => d.drive(t, AdaptiveCrash::steady(1), true),
-    }
+    dispatch(d, t, |_| (Box::new(AdaptiveCrash::steady(1)), true))
 }
 
 /// The committee-family protocol configuration of a scenario, or `None`
@@ -738,7 +679,9 @@ where
     let inputs = s.inputs.materialize(s.n, s.seed);
     let make = || CommitteeBa::network(&cfg, &inputs);
     let t = Trial::<_, Dense<CommitteeBa>>::new(s, &make, Eval::Inputs(&inputs));
-    Once(NoOracle, NoProbe).drive(t, adversary, false).result
+    Once(LemmaSuite::new(), NoProbe)
+        .drive(t, Box::new(adversary), false)
+        .result
 }
 
 /// Drives one scenario to completion under the given strategy, on the
@@ -782,7 +725,7 @@ pub(crate) fn drive_scenario<D: Drive>(d: D, s: &Scenario) -> D::Out {
 ///
 /// Same preconditions as [`drive_scenario`].
 pub(crate) fn run_scenario(s: &Scenario) -> TrialResult {
-    drive_scenario(Once(NoOracle, NoProbe), s).result
+    drive_scenario(Once(LemmaSuite::new(), NoProbe), s).result
 }
 
 /// Runs one scenario to completion with `probe` attached, on the same
@@ -792,7 +735,7 @@ pub(crate) fn run_scenario(s: &Scenario) -> TrialResult {
 ///
 /// Same preconditions as [`drive_scenario`].
 pub(crate) fn run_scenario_with_probe<B: Probe>(s: &Scenario, probe: B) -> (TrialResult, B) {
-    let ran = drive_scenario(Once(NoOracle, probe), s);
+    let ran = drive_scenario(Once(LemmaSuite::new(), probe), s);
     (ran.result, ran.probe)
 }
 
@@ -1030,6 +973,92 @@ mod tests {
             (ProtocolSpec::PhaseKing, Family::DenseOnly),
         ] {
             assert_eq!(Family::of(proto), family, "{}", proto.name());
+        }
+    }
+
+    #[test]
+    fn attack_table_is_pinned() {
+        // The adversary that runs for each attack spec: as asked (`ran`)
+        // or standing in for it (`sub`, recorded as `downgraded`).
+        // Columns: committee BA (all six variants), sampling majority,
+        // King–Saia, the common coin, Phase-King.
+        let ran = |name| (name, false);
+        let sub = |name| (name, true);
+        let (full, poison, crash, coin) = (
+            sub("adaptive-full"),
+            sub("sampling-poison"),
+            sub("crash-steady"),
+            sub("coin-killer"),
+        );
+        let table = [
+            (AttackSpec::Benign, [ran("benign"); 5]),
+            (AttackSpec::StaticSilent, [ran("static-silent"); 5]),
+            (AttackSpec::StaticMirror, [ran("static-mirror"); 5]),
+            (AttackSpec::Crash { per_round: 1 }, [ran("crash-steady"); 5]),
+            (
+                AttackSpec::SplitVote,
+                [ran("split-vote"), poison, crash, coin, crash],
+            ),
+            (
+                AttackSpec::FullAttack,
+                [ran("adaptive-full"), poison, crash, coin, crash],
+            ),
+            (
+                AttackSpec::FullAttackFrugal,
+                [ran("adaptive-full"), poison, crash, coin, crash],
+            ),
+            (
+                AttackSpec::FullAttackCapped { q: 2 },
+                [
+                    ran("budget-capped"),
+                    sub("budget-capped"),
+                    sub("budget-capped"),
+                    sub("budget-capped"),
+                    crash,
+                ],
+            ),
+            (
+                AttackSpec::CoinKiller,
+                [full, poison, crash, ran("coin-killer"), crash],
+            ),
+            (
+                AttackSpec::SamplingPoison,
+                [full, ran("sampling-poison"), crash, coin, crash],
+            ),
+        ];
+        for (proto, column) in [
+            (ProtocolSpec::Paper { alpha: 2.0 }, 0),
+            (ProtocolSpec::PaperLasVegas { alpha: 2.0 }, 0),
+            (ProtocolSpec::PaperLiteralCoin { alpha: 2.0 }, 0),
+            (ProtocolSpec::ChorCoan { beta: 1.0 }, 0),
+            (ProtocolSpec::RabinDealer, 0),
+            (ProtocolSpec::BenOrPrivate, 0),
+            (ProtocolSpec::SamplingMajority { iters: 4 }, 1),
+            (ProtocolSpec::KingSaia { iters: 4 }, 2),
+            (ProtocolSpec::CommonCoin, 3),
+            (ProtocolSpec::PhaseKing, 4),
+        ] {
+            // Every plane the protocol's family runs on.
+            let planes = [PlaneSpec::Dense, PlaneSpec::Packed, PlaneSpec::Sparse]
+                .into_iter()
+                .filter(|&p| Family::of(proto).plane(p) == p);
+            for plane in planes {
+                for (attack, row) in table {
+                    let s = Scenario::new(16, 5)
+                        .with_protocol(proto)
+                        .with_attack(attack)
+                        .with_plane(plane)
+                        .with_max_rounds(8);
+                    let r = run_scenario(&s);
+                    assert_eq!(
+                        (r.adversary, r.downgraded),
+                        row[column],
+                        "{} under {} on {plane:?}",
+                        proto.name(),
+                        attack.name()
+                    );
+                }
+            }
         }
     }
 

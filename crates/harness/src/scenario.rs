@@ -1,9 +1,11 @@
 //! Declarative description of one simulation trial.
 //!
 //! A [`Scenario`] fully determines a run: protocol, adversary, input
-//! assignment, sizes, seed, and information model. The runner
-//! monomorphizes over the concrete protocol/adversary combination at
-//! dispatch time so the simulation loop stays static-dispatch fast.
+//! assignment, sizes, seed, and information model. The runner compiles
+//! the simulation loop once per protocol, message plane and network
+//! model, so the per-message work stays statically dispatched; the
+//! adversary, which acts once per round, is picked at run time and runs
+//! behind a box.
 
 use aba_net::DelayScheduler;
 use aba_sim::InfoModel;

@@ -229,6 +229,29 @@ pub trait Adversary<P: Protocol, L: MessagePlane<P::Msg> = RoundMailbox<<P as Pr
     }
 }
 
+/// A boxed strategy acts and reports its name exactly as the strategy
+/// inside, so a caller that picks its attack at run time can drive one
+/// engine instantiation with `Box<dyn Adversary<P, L>>`; `act` then goes
+/// through one virtual call per round.
+impl<P, L, A> Adversary<P, L> for Box<A>
+where
+    P: Protocol,
+    L: MessagePlane<P::Msg>,
+    A: Adversary<P, L> + ?Sized,
+{
+    fn act(
+        &mut self,
+        view: &RoundView<'_, P, L>,
+        rng: &mut dyn RngCore,
+    ) -> AdversaryAction<P::Msg> {
+        (**self).act(view, rng)
+    }
+
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+}
+
 /// The adversary that corrupts nobody and sends nothing.
 ///
 /// Useful as the fault-free baseline and for validity experiments.

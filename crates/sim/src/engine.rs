@@ -958,6 +958,24 @@ mod tests {
     }
 
     #[test]
+    fn boxed_adversary_runs_like_the_unboxed_one() {
+        let cfg = SimConfig::new(5, 1).with_seed(11).with_trace(true);
+        let plain = Simulation::new(cfg.clone(), maj_nodes(5, 3, 2), CorruptZero).run();
+        let adversary: Box<dyn Adversary<Maj>> = Box::new(CorruptZero);
+        assert_eq!(adversary.name(), CorruptZero.name());
+        let boxed = Simulation::new(cfg, maj_nodes(5, 3, 2), adversary).run();
+        assert_eq!(boxed.rounds, plain.rounds);
+        assert_eq!(boxed.all_halted, plain.all_halted);
+        assert_eq!(boxed.outputs, plain.outputs);
+        assert_eq!(boxed.honest, plain.honest);
+        assert_eq!(boxed.corruptions_used, plain.corruptions_used);
+        assert_eq!(boxed.halt_rounds, plain.halt_rounds);
+        assert_eq!(boxed.metrics, plain.metrics);
+        assert_eq!(boxed.trace.events(), plain.trace.events());
+        assert_eq!(plain.corruptions_used, 1, "the wrapped strategy acted");
+    }
+
+    #[test]
     fn determinism_same_seed_same_report() {
         let run = |seed| {
             let cfg = SimConfig::new(5, 1).with_seed(seed);

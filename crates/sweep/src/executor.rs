@@ -515,8 +515,8 @@ impl CampaignSpec {
                 p.record_claim(worker, depth);
             }
 
-            // Run the trial outside the lock: this is the monomorphized
-            // protocol × adversary × network dispatch from aba-harness.
+            // Run the trial outside the lock: this is the protocol ×
+            // plane × network dispatch and attack table from aba-harness.
             // The abort guard keeps a panicking trial (e.g. an invalid
             // (n, t) for the cell's protocol) from deadlocking waiting
             // workers: on unwind it raises the abort flag and wakes

@@ -11,8 +11,8 @@
 //!   reordering or extending axes never changes surviving cells'
 //!   results ([`spec`]).
 //! * **Execution**: one campaign-wide work-stealing pool schedules at
-//!   `(cell, trial)` granularity through the harness's monomorphized
-//!   dispatch — a slow Las Vegas cell no longer serializes the grid
+//!   `(cell, trial)` granularity through the harness's run dispatch —
+//!   a slow Las Vegas cell no longer serializes the grid
 //!   ([`executor`]).
 //! * **Adaptive allocation**: a per-cell sequential stopping rule
 //!   (Wilson half-width on agreement, or relative CI on mean rounds)
