@@ -391,6 +391,7 @@ fn seam_bypass(ctx: &FileCtx, out: &mut Vec<Diagnostic>) {
         "take_broadcast",
         "insert_if_vacant",
         "insert_if_vacant_with",
+        "insert_group_if_vacant",
         "silence",
     ];
     /// `ArrivalScan` recording mutators (the read-side getters are fair

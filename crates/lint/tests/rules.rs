@@ -130,6 +130,19 @@ fn seam_bypass_covers_the_sparse_plane() {
     );
 }
 
+/// The flight queue's group install is a plane mutator like any other:
+/// calling it outside aba-sim/aba-net fires.
+#[test]
+fn seam_bypass_covers_the_group_install() {
+    let diags = lint_fixture("seam_bypass_fires.rs");
+    assert!(
+        diags
+            .iter()
+            .any(|d| d.rule == "seam-bypass" && d.msg.contains("insert_group_if_vacant")),
+        "group install not reported: {diags:?}"
+    );
+}
+
 /// The provenance seam is held to the same rule as the message planes:
 /// constructing an `ArrivalScan` or calling its recording mutators
 /// outside aba-sim/aba-net fires, and nothing else does.

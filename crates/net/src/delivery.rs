@@ -8,13 +8,32 @@
 //! round, so the CONGEST accounting invariant survives arbitrary delay
 //! patterns.
 //!
+//! A round runs in four steps:
+//!
+//! 1. **Route.** Every link goes through the model in `(sender,
+//!    receiver)` order — the network RNG's consumption order. A
+//!    broadcast's delayed receivers collect in lists indexed by delay,
+//!    and each list enters the queue as one flight group: a delayed
+//!    broadcast costs one message clone per distinct delay.
+//! 2. **Drain.** The queue lands the groups due this round, oldest
+//!    emission first, with one plane call per group.
+//! 3. **Merge broadcasts.** Each broadcast's survivors install as one
+//!    shared row; where the drain already landed older traffic on the
+//!    row, the base layers under it and the conflicting fresh copies
+//!    re-queue for the next round.
+//! 4. **Merge point-to-point survivors**, under the same rule.
+//!
+//! [`NetDelivery::work`] counts the work of each step, cumulatively and
+//! deterministically, so a change in the stage's work shows as an exact
+//! diff rather than as timing noise.
+//!
 //! When the model is transparent for the round and nothing is in flight,
 //! the wire mailbox is passed through untouched: no broadcast expansion,
 //! no RNG draws, no allocation — which is what makes
 //! [`crate::Synchronous`] bit-for-bit identical to the pre-network
 //! engine.
 
-use crate::flight::FlightQueue;
+use crate::flight::{FlightQueue, RING_CAP};
 use crate::model::{Fate, Link, NetworkModel};
 use aba_sim::rng::{rng_for, streams};
 use aba_sim::{
@@ -53,11 +72,34 @@ pub struct NetDelivery<M, N, L = RoundMailbox<M>> {
     /// Per-sender scratch: receivers whose link was already owned by an
     /// older in-flight message when a broadcast merged.
     conflicts: Vec<u32>,
-    /// Per-sender scratch: open `(due, receivers)` delay groups of the
-    /// broadcast currently being routed.
-    delay_groups: Vec<(u64, Vec<u32>)>,
-    /// Recycled receiver lists for `delay_groups`.
-    spare_lists: Vec<Vec<u32>>,
+    /// Per-sender scratch: `by_delay[d]` lists the receivers of the
+    /// broadcast being routed that are delayed `d` rounds.
+    by_delay: Vec<Vec<u32>>,
+    /// The delays in `by_delay` holding receivers, in first-use order.
+    delays: Vec<usize>,
+    work: DeliveryWork,
+}
+
+/// Cumulative work counts of a [`NetDelivery`] over every round it has
+/// delivered. They are a pure function of the run's inputs and seed.
+/// A transparent round with nothing in flight does no work and counts
+/// none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DeliveryWork {
+    /// Links routed through the network model.
+    pub routed: u64,
+    /// Flight groups the queue's drains walked.
+    pub groups: u64,
+    /// Receivers those groups offered to the arrivals plane.
+    pub attempts: u64,
+    /// Offered receivers whose link was busy, deferred a round.
+    pub deferrals: u64,
+    /// Fresh broadcasts layered under traffic the drain had already
+    /// landed on their row.
+    pub merges: u64,
+    /// Fresh messages that lost their link to older traffic and
+    /// re-queued for the next round.
+    pub conflicts: u64,
 }
 
 impl<M: Message, N: NetworkModel, L: MessagePlane<M>> NetDelivery<M, N, L> {
@@ -72,14 +114,20 @@ impl<M: Message, N: NetworkModel, L: MessagePlane<M>> NetDelivery<M, N, L> {
             bcast_spans: Vec::new(),
             fresh: Vec::new(),
             conflicts: Vec::new(),
-            delay_groups: Vec::new(),
-            spare_lists: Vec::new(),
+            by_delay: Vec::new(),
+            delays: Vec::new(),
+            work: DeliveryWork::default(),
         }
     }
 
     /// The wrapped model.
     pub fn model(&self) -> &N {
         &self.model
+    }
+
+    /// The work done so far (see [`DeliveryWork`]).
+    pub fn work(&self) -> DeliveryWork {
+        self.work
     }
 }
 
@@ -108,6 +156,10 @@ impl<M: Message, N: NetworkModel, L: MessagePlane<M>> Delivery<M, L> for NetDeli
         // engine's determinism contract. Survivors are *not* placed in
         // the arrivals mailbox yet: older in-flight traffic must win a
         // busy link, so fresh survivors merge after the queue drains.
+        // The pass draws from a local copy of the network stream,
+        // written back after it: the compiler must reload a field of
+        // `self` after every heap write, but keeps a local in registers.
+        let mut rng = self.rng.clone();
         for s in 0..n as u32 {
             let sender = NodeId::new(s);
             if wire.is_silent(sender) {
@@ -117,9 +169,10 @@ impl<M: Message, N: NetworkModel, L: MessagePlane<M>> Delivery<M, L> for NetDeli
             if let Some(m) = wire.broadcast_of(sender) {
                 // Broadcast row: survivors stay implicit (one shared
                 // copy); knocked-out receivers are recorded per sender,
-                // and delayed receivers accumulate into per-due flight
+                // and delayed receivers collect per delay into flight
                 // groups — one queued clone per group, not per receiver.
                 let start = self.knocked_flat.len();
+                self.work.routed += n as u64 - 1;
                 for r in 0..n as u32 {
                     if r == s {
                         continue; // the local self-copy never routes
@@ -129,22 +182,27 @@ impl<M: Message, N: NetworkModel, L: MessagePlane<M>> Delivery<M, L> for NetDeli
                         receiver: NodeId::new(r),
                         sender_honest,
                     };
-                    match self.model.route(round, link, &mut self.rng) {
+                    match self.model.route(round, link, &mut rng) {
                         Fate::Deliver => {}
                         Fate::Delay(d) => {
                             stats.delayed += 1;
-                            let due = round.index() + d.max(1);
                             self.knocked_flat.push(r);
-                            let group = match self.delay_groups.iter_mut().find(|(g, _)| *g == due)
-                            {
-                                Some((_, list)) => list,
-                                None => {
-                                    let list = self.spare_lists.pop().unwrap_or_default();
-                                    self.delay_groups.push((due, list));
-                                    &mut self.delay_groups.last_mut().expect("just pushed").1
-                                }
-                            };
-                            group.push(r);
+                            let d = d.max(1);
+                            if d >= RING_CAP as u64 {
+                                // Past the wheel's reach: not worth a list.
+                                let receiver = NodeId::new(r);
+                                let due = round.index() + d;
+                                self.queue.push(round, due, sender, receiver, m.clone());
+                                continue;
+                            }
+                            let d = d as usize;
+                            if d >= self.by_delay.len() {
+                                self.by_delay.resize_with(d + 1, Vec::new);
+                            }
+                            if self.by_delay[d].is_empty() {
+                                self.delays.push(d);
+                            }
+                            self.by_delay[d].push(r);
                         }
                         Fate::Drop => {
                             stats.dropped += 1;
@@ -152,10 +210,12 @@ impl<M: Message, N: NetworkModel, L: MessagePlane<M>> Delivery<M, L> for NetDeli
                         }
                     }
                 }
-                for (due, mut list) in self.delay_groups.drain(..) {
-                    self.queue.push_group(round, due, sender, &list, m.clone());
-                    list.clear();
-                    self.spare_lists.push(list);
+                for d in self.delays.drain(..) {
+                    let due = round.index() + d as u64;
+                    let receivers = &mut self.by_delay[d];
+                    self.queue
+                        .push_group(round, due, sender, receivers, m.clone());
+                    receivers.clear();
                 }
                 self.bcast_spans.push((s, start, self.knocked_flat.len()));
             } else {
@@ -181,7 +241,8 @@ impl<M: Message, N: NetworkModel, L: MessagePlane<M>> Delivery<M, L> for NetDeli
                         receiver,
                         sender_honest,
                     };
-                    match self.model.route(round, link, &mut self.rng) {
+                    self.work.routed += 1;
+                    match self.model.route(round, link, &mut rng) {
                         Fate::Deliver => self.fresh.push((s, r)),
                         Fate::Delay(d) => {
                             stats.delayed += 1;
@@ -197,10 +258,15 @@ impl<M: Message, N: NetworkModel, L: MessagePlane<M>> Delivery<M, L> for NetDeli
             }
         }
 
+        self.rng = rng;
+
         // Older in-flight traffic lands first (FIFO per link).
         let drained = self.queue.drain_due(round, &mut out);
         stats.delivered += drained.delivered;
         stats.delayed += drained.deferred;
+        self.work.groups += drained.groups as u64;
+        self.work.attempts += (drained.delivered + drained.deferred) as u64;
+        self.work.deferrals += drained.deferred as u64;
 
         // Merge this round's surviving broadcasts. The common case — no
         // old traffic landed on the sender's row — installs one shared
@@ -223,6 +289,8 @@ impl<M: Message, N: NetworkModel, L: MessagePlane<M>> Delivery<M, L> for NetDeli
                 // copies are cloned.
                 self.conflicts.clear();
                 out.merge_broadcast_except(sender, base, knocked, &mut self.conflicts);
+                self.work.merges += 1;
+                self.work.conflicts += self.conflicts.len() as u64;
                 stats.delivered += n - 1 - knocked.len() - self.conflicts.len();
                 if !self.conflicts.is_empty() {
                     stats.delayed += self.conflicts.len();
@@ -247,6 +315,7 @@ impl<M: Message, N: NetworkModel, L: MessagePlane<M>> Delivery<M, L> for NetDeli
                 None => stats.delivered += 1,
                 Some(m) => {
                     stats.delayed += 1;
+                    self.work.conflicts += 1;
                     self.queue
                         .push(round, round.index() + 1, sender, receiver, m);
                 }
@@ -408,6 +477,59 @@ mod tests {
         for s in 0..5 {
             assert!(out.is_broadcast(id(s)), "sender {s} row was expanded");
         }
+    }
+
+    /// The stage's work counts at a fixed seed: n = 64, everyone
+    /// broadcasting every round under `BoundedDelay(2, Random)`, 256
+    /// rounds. A change in the stage's work shows here as an exact diff.
+    #[test]
+    fn work_counts_are_pinned() {
+        let n = 64;
+        let mut d: NetDelivery<Tm, _> =
+            NetDelivery::new(BoundedDelay::new(2, DelayScheduler::Random), 7);
+        let ledger = CorruptionLedger::new(n, 0);
+        let mut wire = RoundMailbox::new(n);
+        for r in 0..256u64 {
+            wire.reset(n);
+            for s in 0..n as u32 {
+                wire.set(id(s), Emission::Broadcast(Tm((r as u8) ^ s as u8)));
+            }
+            let (out, _) = d.deliver(Round::new(r), wire, &ledger);
+            wire = out;
+        }
+        // Per round: 4,032 links routed, 317 groups walked, 25.8 attempts
+        // per group, 63.75 broadcast merges.
+        assert_eq!(
+            d.work(),
+            DeliveryWork {
+                routed: 1_032_192,
+                groups: 81_152,
+                attempts: 1_691_687,
+                deferrals: 671_649,
+                merges: 16_320,
+                conflicts: 340_294,
+            }
+        );
+    }
+
+    /// Delays past the wheel's cap skip the per-delay lists and still
+    /// arrive exactly on time.
+    #[test]
+    fn delays_past_the_wheel_arrive_on_time() {
+        let delay = crate::flight::RING_CAP as u64 + 3;
+        let mut d: NetDelivery<Tm, _> =
+            NetDelivery::new(BoundedDelay::new(delay, DelayScheduler::DelayHonest), 1);
+        let ledger = CorruptionLedger::new(3, 0);
+        let (_, s0) = d.deliver(Round::ZERO, full_broadcast(3), &ledger);
+        assert_eq!(s0.delayed, 6);
+        for r in 1..delay {
+            let (_, s) = d.deliver(Round::new(r), RoundMailbox::new(3), &ledger);
+            assert_eq!(s.delivered, 0, "round {r}");
+        }
+        let (out, s) = d.deliver(Round::new(delay), RoundMailbox::new(3), &ledger);
+        assert_eq!(s.delivered, 6);
+        assert_eq!(out.resolve(id(2), id(0)), Some(&Tm(2)));
+        assert_eq!(Delivery::<Tm>::in_flight(&d), 0);
     }
 
     /// An in-flight message that lands on a link a fresh broadcast also

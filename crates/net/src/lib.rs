@@ -15,7 +15,8 @@
 //!   [`LossyLinks`], [`BoundedDelay`] (random or adversarial
 //!   [`DelayScheduler`]), [`Partition`].
 //! * [`FlightQueue`] — the mechanism that carries delayed messages
-//!   across rounds, FIFO per link, one message per link per round.
+//!   across rounds, FIFO per link, one message per link per round: a
+//!   wheel of slots keyed by due round.
 //! * [`NetDelivery`] — the adapter implementing the engine's
 //!   [`aba_sim::Delivery`] seam on top of the two.
 //!
@@ -61,14 +62,14 @@ pub mod flight;
 pub mod model;
 pub mod models;
 
-pub use delivery::NetDelivery;
+pub use delivery::{DeliveryWork, NetDelivery};
 pub use flight::{DrainOutcome, FlightQueue};
 pub use model::{Fate, Link, NetworkModel};
 pub use models::{BoundedDelay, DelayScheduler, LossyLinks, Partition, Synchronous};
 
 /// Convenient glob import.
 pub mod prelude {
-    pub use crate::delivery::NetDelivery;
+    pub use crate::delivery::{DeliveryWork, NetDelivery};
     pub use crate::flight::{DrainOutcome, FlightQueue};
     pub use crate::model::{Fate, Link, NetworkModel};
     pub use crate::models::{BoundedDelay, DelayScheduler, LossyLinks, Partition, Synchronous};

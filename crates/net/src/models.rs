@@ -6,7 +6,7 @@
 
 use crate::model::{Fate, Link, NetworkModel};
 use aba_sim::{NodeId, Round};
-use rand::{Rng, RngCore};
+use rand::RngCore;
 
 /// The paper's lock-step synchronous network: every message is delivered
 /// in its emission round. This is the default model and preserves the
@@ -109,6 +109,7 @@ pub enum DelayScheduler {
 pub struct BoundedDelay {
     max_delay: u64,
     scheduler: DelayScheduler,
+    draw: InclusiveDraw,
 }
 
 impl BoundedDelay {
@@ -118,6 +119,7 @@ impl BoundedDelay {
         BoundedDelay {
             max_delay,
             scheduler,
+            draw: InclusiveDraw::new(max_delay),
         }
     }
 
@@ -133,7 +135,7 @@ impl NetworkModel for BoundedDelay {
             return Fate::Deliver;
         }
         let d = match self.scheduler {
-            DelayScheduler::Random => rng.gen_range(0..=self.max_delay),
+            DelayScheduler::Random => self.draw.sample(rng),
             DelayScheduler::DelayHonest => {
                 if link.sender_honest {
                     self.max_delay
@@ -158,6 +160,67 @@ impl NetworkModel for BoundedDelay {
             DelayScheduler::Random => "bounded-delay",
             DelayScheduler::DelayHonest => "bounded-delay-adv",
         }
+    }
+}
+
+/// `rng.gen_range(0..=max)` for one fixed `max`, without a division per
+/// draw — [`BoundedDelay`] makes one draw per link.
+///
+/// The rand shim draws `v = next_u64()` until `v < zone`, where
+/// `span = max + 1` and `zone = u64::MAX - u64::MAX % span`, and returns
+/// `v % span`. Here `zone` is computed once, and the remainder is
+/// Lemire's fastmod with the 128-bit constant `ceil(2^128 / span)`,
+/// which is exact for every 64-bit `v` (Lemire, Kaser & Kurz, *Faster
+/// Remainder by Direct Computation*, 2019). So a draw consumes the same
+/// `next_u64` values as `gen_range` and returns the same value.
+#[derive(Debug, Clone, Copy)]
+struct InclusiveDraw {
+    /// `max + 1`, or 0 for the full 64-bit domain (`max == u64::MAX`).
+    span: u64,
+    zone: u64,
+    /// `ceil(2^128 / span)`; 0 when `span <= 1`, where every remainder
+    /// is 0.
+    magic: u128,
+}
+
+impl InclusiveDraw {
+    fn new(max: u64) -> Self {
+        let span = max.wrapping_add(1);
+        InclusiveDraw {
+            span,
+            zone: if span == 0 {
+                u64::MAX
+            } else {
+                u64::MAX - u64::MAX % span
+            },
+            magic: if span > 1 {
+                u128::MAX / span as u128 + 1
+            } else {
+                0
+            },
+        }
+    }
+
+    fn sample<R: RngCore + ?Sized>(&self, rng: &mut R) -> u64 {
+        if self.span == 0 {
+            return rng.next_u64(); // the full domain: nothing to reject
+        }
+        loop {
+            let v = rng.next_u64();
+            if v < self.zone {
+                return self.rem(v);
+            }
+        }
+    }
+
+    /// `v % span`: the top 64 of the 192 bits of
+    /// `(magic * v mod 2^128) * span`.
+    fn rem(&self, v: u64) -> u64 {
+        let low = self.magic.wrapping_mul(v as u128);
+        let span = self.span as u128;
+        let hi = (low >> 64) * span;
+        let lo = (low as u64 as u128) * span;
+        ((hi + (lo >> 64)) >> 64) as u64
     }
 }
 
@@ -310,6 +373,37 @@ mod tests {
             }
         }
         assert!(seen_delay);
+    }
+
+    /// The division-free draw is `gen_range(0..=max_delay)` value for
+    /// value and leaves the stream where `gen_range` leaves it — across
+    /// small bounds, powers of two, the bound where half the draws are
+    /// rejected (2^63), the widest bounded span and the full domain.
+    #[test]
+    fn random_delay_draw_matches_gen_range() {
+        use rand::Rng;
+        for max in [1, 2, 3, 7, 8, 1000, 1 << 63, u64::MAX - 1, u64::MAX] {
+            let mut m = BoundedDelay::new(max, DelayScheduler::Random);
+            let mut a = rng::rng_for(max, rng::streams::NETWORK);
+            let mut b = a.clone();
+            for i in 0..100_000 {
+                let got = match m.route(Round::ZERO, link(0, 1, true), &mut a) {
+                    Fate::Deliver => 0,
+                    Fate::Delay(d) => d,
+                    Fate::Drop => panic!("bounded delay never drops"),
+                };
+                assert_eq!(got, b.gen_range(0..=max), "max_delay {max}, draw {i}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "max_delay {max}: stream");
+            // The remainder at the edges of the accepted zone.
+            let draw = InclusiveDraw::new(max);
+            if draw.span > 1 {
+                let edges = [0, 1, draw.span - 1, draw.span, draw.zone - 1, u64::MAX / 2];
+                for v in edges.into_iter().filter(|&v| v < draw.zone) {
+                    assert_eq!(draw.rem(v), v % draw.span, "max_delay {max}, v {v}");
+                }
+            }
+        }
     }
 
     #[test]

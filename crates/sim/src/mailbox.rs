@@ -449,28 +449,28 @@ impl<M: Message> RoundMailbox<M> {
             let bs = msg.bit_size();
             let mut k = 0usize;
             let mut inherited = 0usize;
+            // No branch on whether a receiver is knocked — a coin flip
+            // per receiver under random delays: the `except` cursor moves
+            // by a flag, and every receiver is written into room reserved
+            // in `conflicts`, kept only when it is a conflict.
+            let mut kept = conflicts.len();
+            conflicts.resize(kept + lane.len(), 0);
             for (r, cell) in lane.iter_mut().enumerate() {
-                let mut is_knocked = false;
-                while k < except.len() && except[k] as usize == r {
-                    is_knocked = true;
-                    k += 1;
+                let is_knocked = except.get(k).is_some_and(|&x| x as usize == r);
+                k += usize::from(is_knocked);
+                while except.get(k).is_some_and(|&x| x as usize == r) {
+                    k += 1; // a duplicate entry
                 }
-                match cell {
-                    Cell::Msg(_) => {
-                        if !is_knocked {
-                            conflicts.push(r as u32);
-                        }
-                    }
-                    Cell::Knocked => {}
-                    Cell::Inherit => {
-                        if is_knocked {
-                            *cell = Cell::Knocked;
-                        } else if r != me {
-                            inherited += 1;
-                        }
-                    }
+                let is_msg = matches!(cell, Cell::Msg(_));
+                let is_inherit = matches!(cell, Cell::Inherit);
+                conflicts[kept] = r as u32;
+                kept += usize::from(is_msg && !is_knocked);
+                inherited += usize::from(is_inherit && !is_knocked && r != me);
+                if is_inherit && is_knocked {
+                    *cell = Cell::Knocked;
                 }
             }
+            conflicts.truncate(kept);
             row.count += inherited;
             row.bits += inherited * bs;
             row.max_bits = row.max_bits.max(bs);
@@ -558,65 +558,94 @@ impl<M: Message> RoundMailbox<M> {
 
     /// Inserts `m` at `(sender, receiver)` only if no message occupies
     /// that pair, returning `None` on success and handing `m` back when
-    /// the link is busy. This is the flight queue's drain primitive: one
-    /// row walk decides *and* installs, with none of the generic
-    /// replacement bookkeeping of [`RoundMailbox::insert`].
+    /// the link is busy. The delivery stage merges a fresh
+    /// point-to-point message with it: one row walk decides *and*
+    /// installs, with none of the generic replacement bookkeeping of
+    /// [`RoundMailbox::insert`].
     ///
     /// # Panics
     ///
     /// Panics if `sender` or `receiver` is out of range.
     pub fn insert_if_vacant(&mut self, sender: NodeId, receiver: NodeId, m: M) -> Option<M> {
+        let bs = m.bit_size();
         let mut m = Some(m);
-        let inserted =
-            self.insert_if_vacant_with(sender, receiver, || m.take().expect("built once"));
-        debug_assert_eq!(inserted, m.is_none());
+        self.fill_vacant(sender, &mut [receiver.raw()], bs, || {
+            m.take().expect("built once")
+        });
         m
     }
 
-    /// Like [`RoundMailbox::insert_if_vacant`], but builds the message
-    /// with `make` only when the pair is actually vacant — the grouped
-    /// flight queue's drain primitive, which shares one message across a
-    /// whole receiver list and clones it per *delivered* receiver only.
-    /// Returns whether the message was installed.
+    /// Installs a clone of `msg` at every `(sender, r)` pair of
+    /// `receivers` that is vacant, in order, and returns how many it
+    /// installed; the busy receivers are compacted, in order, to the
+    /// front of `receivers`. The flight queue's drain primitive: a whole
+    /// flight group costs one row lookup and one counter update, and the
+    /// shared message is cloned per *installed* receiver only.
     ///
     /// # Panics
     ///
-    /// Panics if `sender` or `receiver` is out of range.
-    pub fn insert_if_vacant_with(
+    /// Panics if `sender` or any receiver is out of range.
+    pub fn insert_group_if_vacant(
         &mut self,
         sender: NodeId,
-        receiver: NodeId,
-        make: impl FnOnce() -> M,
-    ) -> bool {
+        receivers: &mut [u32],
+        msg: &M,
+    ) -> usize {
+        self.fill_vacant(sender, receivers, msg.bit_size(), || msg.clone())
+    }
+
+    /// Builds a `bs`-bit message with `make` for every vacant pair of
+    /// `receivers`, in order; compacts the busy receivers to the front
+    /// and returns how many messages it installed. A pure add can never
+    /// lower a row maximum, so the counters update directly, with none
+    /// of [`RoundMailbox::insert`]'s replacement bookkeeping.
+    fn fill_vacant(
+        &mut self,
+        sender: NodeId,
+        receivers: &mut [u32],
+        bs: usize,
+        mut make: impl FnMut() -> M,
+    ) -> usize {
         let me = sender.index();
-        let r = receiver.index();
         let n = self.n;
-        if !self.rows[me].dense && self.rows[me].base.is_some() {
-            return false; // pure broadcast: every pair is occupied
+        if receivers.is_empty() || (!self.rows[me].dense && self.rows[me].base.is_some()) {
+            return 0; // nothing offered, or a pure broadcast: every pair is occupied
         }
         self.alloc_lanes();
         let row = &mut self.rows[me];
         let lane = &mut self.lanes[me * n..(me + 1) * n];
         row.ensure_dense(lane);
-        match &lane[r] {
-            Cell::Msg(_) => return false,
-            Cell::Inherit if row.base.is_some() => return false,
-            Cell::Inherit | Cell::Knocked => {}
+        let has_base = row.base.is_some();
+        let mut busy = 0;
+        for i in 0..receivers.len() {
+            let r = receivers[i];
+            let cell = &mut lane[r as usize];
+            let vacant = match cell {
+                Cell::Msg(_) => false,
+                Cell::Inherit => !has_base,
+                Cell::Knocked => true,
+            };
+            if vacant {
+                // An explicit message always counts (even a self-copy).
+                *cell = Cell::Msg(make());
+            } else {
+                receivers[busy] = r;
+                busy += 1;
+            }
         }
-        // Vacant: an explicit message always counts (even a self-copy).
-        let m = make();
-        let bs = m.bit_size();
-        lane[r] = Cell::Msg(m);
-        row.count += 1;
-        row.bits += bs;
-        row.max_bits = row.max_bits.max(bs);
-        let row_max = row.max_bits;
-        self.count += 1;
-        self.bits += bs;
-        if !self.max_dirty {
-            self.max_cache = self.max_cache.max(row_max);
+        let installed = receivers.len() - busy;
+        if installed > 0 {
+            row.count += installed;
+            row.bits += installed * bs;
+            row.max_bits = row.max_bits.max(bs);
+            let row_max = row.max_bits;
+            self.count += installed;
+            self.bits += installed * bs;
+            if !self.max_dirty {
+                self.max_cache = self.max_cache.max(row_max);
+            }
         }
-        true
+        installed
     }
 
     /// Removes and returns `sender`'s *pure* broadcast message (no

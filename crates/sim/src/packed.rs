@@ -537,6 +537,68 @@ impl<M: PackedMessage> PackedMailbox<M> {
         self.row_count[me] == 0 && self.effective_code(me, me).is_none()
     }
 
+    /// Installs `code` (a `bs`-bit message) at every vacant pair of row
+    /// `me` named in `receivers`, in order; compacts the busy receivers
+    /// to the front and returns how many it installed. The code, the bit
+    /// size and the epoch bump are paid once per call, not per receiver.
+    ///
+    /// Direct counter path, skipping the `begin_edit` fold: a pure add
+    /// can never lower the row maximum, so no `old_max` snapshot is
+    /// needed — and crucially no dirty-row rescan. Paying
+    /// `row_current_max`'s full-row decode on every requeued delivery
+    /// after a knock-out dirtied the row is what made BoundedDelay
+    /// slower packed than dense. A dirty row implies the global cache is
+    /// already dirty (`end_edit` propagates row dirt and nothing clears
+    /// it until reset), so when `!max_dirty` the row maximum is exact
+    /// and the cache update is sound.
+    fn fill_vacant(&mut self, me: usize, receivers: &mut [u32], code: u32, bs: usize) -> usize {
+        if receivers.is_empty() || (!self.dense[me] && self.base[me].is_some()) {
+            return 0; // nothing offered, or a pure broadcast: every pair is occupied
+        }
+        let has_base = self.base[me].is_some();
+        // A row that was not dense has no deviation bits, so every cell
+        // still reads `Inherit` once its lanes are live.
+        self.ensure_dense(me);
+        let words = self.words;
+        let (col_word, col_bit) = (me / 64, 1u64 << (me % 64));
+        let mut busy = 0;
+        for i in 0..receivers.len() {
+            let r = receivers[i] as usize;
+            let (w, bit) = (me * words + r / 64, 1u64 << (r % 64));
+            // Inherit is vacant without a base, Knocked always, a code never.
+            let vacant = if self.dev[w] & bit == 0 {
+                !has_base
+            } else {
+                self.has[w] & bit == 0
+            };
+            if vacant {
+                // An explicit message always counts (even a self-copy).
+                self.dev[w] |= bit;
+                self.has[w] |= bit;
+                self.col_dev[r * words + col_word] |= col_bit;
+                self.col_has[r * words + col_word] |= col_bit;
+                self.codes[me][r] = code;
+            } else {
+                receivers[busy] = r as u32;
+                busy += 1;
+            }
+        }
+        let installed = receivers.len() - busy;
+        if installed > 0 {
+            self.epoch = self.epoch.wrapping_add(1);
+            self.row_count[me] += installed;
+            self.row_bits[me] += installed * bs;
+            self.row_max[me] = self.row_max[me].max(bs);
+            let row_max = self.row_max[me];
+            self.count += installed;
+            self.bits += installed * bs;
+            if !self.max_dirty {
+                self.max_cache = self.max_cache.max(row_max);
+            }
+        }
+        installed
+    }
+
     /// Adds each sender's offered traffic (this plane as the *wire*
     /// mailbox, pre-delivery) to `scan`'s per-sender counters. O(n);
     /// sums exactly to the plane's `message_count` / `total_bits`.
@@ -741,60 +803,22 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
     }
 
     fn insert_if_vacant(&mut self, sender: NodeId, receiver: NodeId, m: M) -> Option<M> {
-        let mut m = Some(m);
-        let inserted = MessagePlane::insert_if_vacant_with(self, sender, receiver, || {
-            m.take().expect("built once")
-        });
-        debug_assert_eq!(inserted, m.is_none());
-        m
+        let installed = self.fill_vacant(
+            sender.index(),
+            &mut [receiver.raw()],
+            Self::code_of(&m),
+            m.bit_size(),
+        );
+        (installed == 0).then_some(m)
     }
 
-    fn insert_if_vacant_with(
-        &mut self,
-        sender: NodeId,
-        receiver: NodeId,
-        make: impl FnOnce() -> M,
-    ) -> bool {
-        let me = sender.index();
-        let r = receiver.index();
-        if !self.dense[me] && self.base[me].is_some() {
-            return false; // pure broadcast: every pair is occupied
-        }
-        match self.cell_state(me, r) {
-            CellState::Code(_) => return false,
-            CellState::Inherit if self.base[me].is_some() => return false,
-            CellState::Inherit | CellState::Knocked => {}
-        }
-        // Vacant: an explicit message always counts (even a self-copy).
-        // Direct counter path, skipping the `begin_edit` fold: a pure
-        // add can never lower the row maximum, so no `old_max` snapshot
-        // is needed — and crucially no dirty-row rescan. This is the
-        // flight queue's drain primitive; paying `row_current_max`'s
-        // full-row decode on every requeued delivery after a knock-out
-        // dirtied the row is what made BoundedDelay slower packed than
-        // dense. Mirrors the dense plane's identical fast path. A dirty
-        // row implies the global cache is already dirty (`end_edit`
-        // propagates row dirt and nothing clears it until reset), so
-        // when `!max_dirty` the row maximum is exact and the cache
-        // update is sound.
-        let m = make();
-        let bs = m.bit_size();
-        let code = Self::code_of(&m);
-        self.epoch = self.epoch.wrapping_add(1);
-        self.ensure_dense(me);
-        self.set_dev(me, r, true);
-        self.set_has(me, r, true);
-        self.codes[me][r] = code;
-        self.row_count[me] += 1;
-        self.row_bits[me] += bs;
-        self.row_max[me] = self.row_max[me].max(bs);
-        let row_max = self.row_max[me];
-        self.count += 1;
-        self.bits += bs;
-        if !self.max_dirty {
-            self.max_cache = self.max_cache.max(row_max);
-        }
-        true
+    fn insert_group_if_vacant(&mut self, sender: NodeId, receivers: &mut [u32], msg: &M) -> usize {
+        self.fill_vacant(
+            sender.index(),
+            receivers,
+            Self::code_of(msg),
+            msg.bit_size(),
+        )
     }
 
     fn set_broadcast_except(&mut self, sender: NodeId, msg: M, except: &[u32]) {

@@ -67,15 +67,15 @@ pub trait MessagePlane<M: Message>: Default {
     /// the link is busy.
     fn insert_if_vacant(&mut self, sender: NodeId, receiver: NodeId, m: M) -> Option<M>;
 
-    /// Like [`MessagePlane::insert_if_vacant`], but builds the message
-    /// only when the pair is actually vacant. Returns whether it was
-    /// installed.
-    fn insert_if_vacant_with(
-        &mut self,
-        sender: NodeId,
-        receiver: NodeId,
-        make: impl FnOnce() -> M,
-    ) -> bool;
+    /// Installs a clone of `msg` from `sender` at every receiver in
+    /// `receivers` whose pair is vacant, in order, and returns how many
+    /// it installed. The busy receivers are compacted, in order, to the
+    /// front of `receivers`: the first `receivers.len() - installed`
+    /// entries are the ones left over. Same outcome as one
+    /// [`MessagePlane::insert_if_vacant`] per receiver, for one row
+    /// lookup and one counter update — the flight queue's drain
+    /// primitive, one call per flight group.
+    fn insert_group_if_vacant(&mut self, sender: NodeId, receivers: &mut [u32], msg: &M) -> usize;
 
     /// Installs a broadcast that skips the receivers in `except`.
     fn set_broadcast_except(&mut self, sender: NodeId, msg: M, except: &[u32]);
@@ -196,13 +196,8 @@ impl<M: Message> MessagePlane<M> for RoundMailbox<M> {
         RoundMailbox::insert_if_vacant(self, sender, receiver, m)
     }
 
-    fn insert_if_vacant_with(
-        &mut self,
-        sender: NodeId,
-        receiver: NodeId,
-        make: impl FnOnce() -> M,
-    ) -> bool {
-        RoundMailbox::insert_if_vacant_with(self, sender, receiver, make)
+    fn insert_group_if_vacant(&mut self, sender: NodeId, receivers: &mut [u32], msg: &M) -> usize {
+        RoundMailbox::insert_group_if_vacant(self, sender, receivers, msg)
     }
 
     fn set_broadcast_except(&mut self, sender: NodeId, msg: M, except: &[u32]) {

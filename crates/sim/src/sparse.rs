@@ -760,11 +760,12 @@ impl<M: Message> SparseMailbox<M> {
 
     /// Like [`SparseMailbox::insert_if_vacant`], but builds the message
     /// with `make` only when the pair is actually vacant. Returns
-    /// whether the message was installed. This is the flight queue's
-    /// drain primitive: one sorted-list probe decides *and* installs,
-    /// with no row rescan — a pure add can never lower a row maximum,
-    /// so the incremental counter update is exact (the same direct path
-    /// the dense plane takes).
+    /// whether the message was installed. The flight queue's drain
+    /// primitive ([`MessagePlane::insert_group_if_vacant`]) calls it once
+    /// per receiver of a group: one sorted-list probe decides *and*
+    /// installs, with no row rescan — a pure add can never lower a row
+    /// maximum, so the incremental counter update is exact (the same
+    /// direct path the dense plane takes).
     ///
     /// # Panics
     ///
@@ -1118,13 +1119,16 @@ impl<M: Message> MessagePlane<M> for SparseMailbox<M> {
         SparseMailbox::insert_if_vacant(self, sender, receiver, m)
     }
 
-    fn insert_if_vacant_with(
-        &mut self,
-        sender: NodeId,
-        receiver: NodeId,
-        make: impl FnOnce() -> M,
-    ) -> bool {
-        SparseMailbox::insert_if_vacant_with(self, sender, receiver, make)
+    fn insert_group_if_vacant(&mut self, sender: NodeId, receivers: &mut [u32], msg: &M) -> usize {
+        let mut busy = 0;
+        for i in 0..receivers.len() {
+            let r = receivers[i];
+            if !self.insert_if_vacant_with(sender, NodeId::new(r), || msg.clone()) {
+                receivers[busy] = r;
+                busy += 1;
+            }
+        }
+        receivers.len() - busy
     }
 
     fn set_broadcast_except(&mut self, sender: NodeId, msg: M, except: &[u32]) {

@@ -7,10 +7,12 @@
 //! maintains counters incrementally. Seeded interleavings of the whole
 //! public mutation API (`set` broadcast / per-recipient / silent,
 //! `silence`, `insert`, `knock_out`, `set_broadcast_except`,
-//! `take_broadcast`, `insert_if_vacant`) are replayed against both and
-//! every observable is compared after each step, across n ∈ {1, 2, 17,
-//! 64}. (No proptest in this offline workspace — cases are drawn from a
-//! fixed-seed generator, so every run checks the identical sample.)
+//! `take_broadcast`, `insert_if_vacant`) are replayed against both, each
+//! followed by an `insert_group_if_vacant` — the flight queue's drain
+//! primitive — on a random row, and every observable is compared after
+//! each step, across n ∈ {1, 2, 17, 64}. (No proptest in this offline
+//! workspace — cases are drawn from a fixed-seed generator, so every run
+//! checks the identical sample.)
 
 use aba_sim::{Emission, Message, NodeId, RoundMailbox};
 use rand::rngs::SmallRng;
@@ -109,6 +111,17 @@ impl Reference {
         }
         self.insert(s, r, m);
         true
+    }
+
+    /// One `insert_if_vacant` per receiver, in order; returns the
+    /// installed count and the busy receivers, in order.
+    fn insert_group_if_vacant(&mut self, s: usize, receivers: &[u32], m: &Tm) -> (usize, Vec<u32>) {
+        let busy: Vec<u32> = receivers
+            .iter()
+            .copied()
+            .filter(|&r| !self.insert_if_vacant(s, r as usize, m.clone()))
+            .collect();
+        (receivers.len() - busy.len(), busy)
     }
 
     /// Is `(s, r)` carrying the free self-copy of a broadcast base?
@@ -215,6 +228,29 @@ fn random_op(gen: &mut SmallRng, mb: &mut RoundMailbox<Tm>, rf: &mut Reference, 
     }
 }
 
+/// A group install on a random row: a random receiver list
+/// (duplicates and the sender itself allowed) with an odd-tagged
+/// message, so it never equals a live base. The list is offered twice,
+/// the second time reversed: every receiver the first install served is
+/// busy then, so the order of long busy tails is checked too.
+fn group_op(gen: &mut SmallRng, mb: &mut RoundMailbox<Tm>, rf: &mut Reference, n: usize) {
+    let s = gen.gen_range(0..n as u32);
+    let msg = Tm(gen.gen::<u16>() | 1);
+    let k = gen.gen_range(1..=n.min(24));
+    let first: Vec<u32> = (0..k).map(|_| gen.gen_range(0..n as u32)).collect();
+    let second = first.iter().rev().copied().collect();
+    for mut receivers in [first, second] {
+        let (want, want_busy) = rf.insert_group_if_vacant(s as usize, &receivers, &msg);
+        let got = mb.insert_group_if_vacant(NodeId::new(s), &mut receivers, &msg);
+        assert_eq!(got, want, "insert_group_if_vacant installed count for {s}");
+        assert_eq!(
+            receivers[..k - got],
+            want_busy[..],
+            "insert_group_if_vacant busy tail for {s}"
+        );
+    }
+}
+
 fn assert_equivalent(mb: &RoundMailbox<Tm>, rf: &Reference, ctx: &str) {
     let n = rf.n;
     for s in 0..n {
@@ -292,6 +328,8 @@ fn dense_mailbox_matches_reference_model() {
             for step in 0..steps {
                 random_op(&mut gen, &mut mb, &mut rf, n);
                 assert_equivalent(&mb, &rf, &format!("n={n} case={case} step={step}"));
+                group_op(&mut gen, &mut mb, &mut rf, n);
+                assert_equivalent(&mb, &rf, &format!("n={n} case={case} step={step} group"));
             }
             // Pooled reuse must behave like a fresh mailbox.
             mb.reset(n);

@@ -5,14 +5,16 @@
 //! interleavings of the *whole* mutation API (`set` broadcast /
 //! per-recipient / silent, `silence`, `insert`, `knock_out`,
 //! `set_broadcast_except`, `merge_broadcast_except`, `take_broadcast`,
-//! `insert_if_vacant`, `insert_if_vacant_with`) against each and
+//! `insert_if_vacant`, `insert_group_if_vacant`) against each and
 //! compares every observable after every step, across
 //! n ∈ {1, 2, 17, 64, 257} — the word-boundary shapes (64, 257) are the
 //! ones a bitset implementation gets wrong first. Unlike the
 //! naive-reference differential (`mailbox_differential.rs`), the dense
 //! mailbox *can* distinguish base-derived cells from inserted copies, so
 //! this generator deliberately also inserts messages equal to a live
-//! broadcast base — the case flight-queue redelivery produces.
+//! broadcast base — the case flight-queue redelivery produces. Every
+//! random mutation is followed by a group install (the flight queue's
+//! drain primitive) on a random row, compared in its own right.
 //!
 //! The packed plane's one extra observable — `packed_match_count`, the
 //! popcount tally — is checked against a from-scratch dense scan.
@@ -115,12 +117,59 @@ fn random_op(
             let b = packed.insert_if_vacant(s, r, msg);
             assert_eq!(a, b, "insert_if_vacant disagrees for ({s}, {r})");
         }
-        _ => {
-            let a = dense.insert_if_vacant_with(s, r, || msg.clone());
-            let b = packed.insert_if_vacant_with(s, r, || msg.clone());
-            assert_eq!(a, b, "insert_if_vacant_with disagrees for ({s}, {r})");
-        }
+        _ => group_op(gen, dense, packed, n, s, r),
     }
+}
+
+/// `insert_group_if_vacant` of row `s` on both planes: a random receiver
+/// list starting at `r` (duplicates and `s` itself allowed), half the
+/// time carrying the row's live base value, offered twice — the second
+/// time reversed, when every receiver the first install served is busy.
+/// The installed counts and the compacted busy receivers must agree.
+fn group_op(
+    gen: &mut SmallRng,
+    dense: &mut RoundMailbox<Tm>,
+    packed: &mut PackedMailbox<Tm>,
+    n: usize,
+    s: NodeId,
+    r: NodeId,
+) {
+    let msg = match dense.broadcast_base(s) {
+        Some(b) if gen.gen_bool(0.5) => b.clone(),
+        _ => Tm(gen.gen()),
+    };
+    let extra = gen.gen_range(0..n.min(24));
+    let first: Vec<u32> = std::iter::once(r.raw())
+        .chain((0..extra).map(|_| gen.gen_range(0..n as u32)))
+        .collect();
+    let second = first.iter().rev().copied().collect();
+    for mut a in [first, second] {
+        let mut b = a.clone();
+        let installed = dense.insert_group_if_vacant(s, &mut a, &msg);
+        assert_eq!(
+            installed,
+            packed.insert_group_if_vacant(s, &mut b, &msg),
+            "insert_group_if_vacant installed counts disagree for {s}"
+        );
+        let busy = a.len() - installed;
+        assert_eq!(
+            a[..busy],
+            b[..busy],
+            "insert_group_if_vacant busy tails for {s}"
+        );
+    }
+}
+
+/// A group install on a random row, checked like any other step.
+fn random_group_op(
+    gen: &mut SmallRng,
+    dense: &mut RoundMailbox<Tm>,
+    packed: &mut PackedMailbox<Tm>,
+    n: usize,
+) {
+    let s = NodeId::new(gen.gen_range(0..n as u32));
+    let r = NodeId::new(gen.gen_range(0..n as u32));
+    group_op(gen, dense, packed, n, s, r);
 }
 
 fn assert_equivalent(dense: &RoundMailbox<Tm>, packed: &PackedMailbox<Tm>, n: usize, ctx: &str) {
@@ -234,6 +283,13 @@ fn packed_plane_matches_dense_mailbox() {
                     n,
                     &format!("n={n} case={case} step={step}"),
                 );
+                random_group_op(&mut gen, &mut dense, &mut packed, n);
+                assert_equivalent(
+                    &dense,
+                    &packed,
+                    n,
+                    &format!("n={n} case={case} step={step} group"),
+                );
             }
             // Pooled reuse must behave like a fresh plane on both sides.
             dense.reset(n);
@@ -255,6 +311,7 @@ fn recording_view_matches_dense_mailbox() {
             let mut packed: PackedMailbox<Tm> = PackedMailbox::new(n);
             for step in 0..gen.gen_range(4..40usize) {
                 random_op(&mut gen, &mut dense, &mut packed, n);
+                random_group_op(&mut gen, &mut dense, &mut packed, n);
                 for s in (0..n as u32).map(NodeId::new) {
                     let d: Vec<_> = MessagePlane::deviations(&dense, s).collect();
                     let p: Vec<_> = MessagePlane::deviations(&packed, s).collect();

@@ -5,14 +5,16 @@
 //! interleavings of the *whole* mutation API (`set` broadcast /
 //! per-recipient / silent, `silence`, `insert`, `knock_out`,
 //! `set_broadcast_except`, `merge_broadcast_except`, `take_broadcast`,
-//! `insert_if_vacant`, `insert_if_vacant_with`) against each and
+//! `insert_if_vacant`, `insert_group_if_vacant`) against each and
 //! compares every observable after every step, across
 //! n ∈ {1, 2, 17, 64, 257} — mirroring `packed_differential.rs`. The
 //! generator deliberately also inserts messages equal to a live
 //! broadcast base (the flight-queue redelivery case) and, unlike the
 //! packed differential, uses unpackable variable-size payloads: the
 //! sparse plane is fully general over [`Message`], so its counters must
-//! track arbitrary bit sizes.
+//! track arbitrary bit sizes. Every random mutation is followed by a
+//! group install (the flight queue's drain primitive) on a random row,
+//! compared in its own right.
 //!
 //! On top of the per-step observables, both planes fill an
 //! [`ArrivalScan`] after every step and the scans are compared field by
@@ -140,11 +142,45 @@ fn apply_op(
             assert_eq!(a, b, "insert_if_vacant disagrees for ({s}, {r})");
         }
         _ => {
-            let a = dense.insert_if_vacant_with(s, r, || msg.clone());
-            let b = MessagePlane::insert_if_vacant_with(sparse, s, r, || msg.clone());
-            assert_eq!(a, b, "insert_if_vacant_with disagrees for ({s}, {r})");
+            // A group install: a random receiver list starting at `r`
+            // (duplicates and `s` itself allowed), offered twice — the
+            // second time reversed, when every receiver the first
+            // install served is busy. The installed counts and the
+            // compacted busy receivers must agree.
+            let extra = gen.gen_range(0..n.min(24));
+            let first: Vec<u32> = std::iter::once(r.raw())
+                .chain((0..extra).map(|_| gen.gen_range(0..n as u32)))
+                .collect();
+            let second = first.iter().rev().copied().collect();
+            for mut a in [first, second] {
+                let mut b = a.clone();
+                let installed = dense.insert_group_if_vacant(s, &mut a, &msg);
+                assert_eq!(
+                    installed,
+                    MessagePlane::insert_group_if_vacant(sparse, s, &mut b, &msg),
+                    "insert_group_if_vacant installed counts disagree for {s}"
+                );
+                let busy = a.len() - installed;
+                assert_eq!(
+                    a[..busy],
+                    b[..busy],
+                    "insert_group_if_vacant busy tails for {s}"
+                );
+            }
         }
     }
+}
+
+/// A group install on a random row, checked like any other step.
+fn random_group_op(
+    gen: &mut SmallRng,
+    dense: &mut RoundMailbox<Tm>,
+    sparse: &mut SparseMailbox<Tm>,
+    n: usize,
+) {
+    let s = NodeId::new(gen.gen_range(0..n as u32));
+    let r = NodeId::new(gen.gen_range(0..n as u32));
+    apply_op(gen, dense, sparse, n, (s, r), OP_KINDS - 1);
 }
 
 /// Fills a fresh scan from `plane` (both the wire-side tally and the
@@ -304,6 +340,13 @@ fn sparse_plane_matches_dense_mailbox() {
                     n,
                     &format!("n={n} case={case} step={step}"),
                 );
+                random_group_op(&mut gen, &mut dense, &mut sparse, n);
+                assert_equivalent(
+                    &dense,
+                    &mut sparse,
+                    n,
+                    &format!("n={n} case={case} step={step} group"),
+                );
             }
             // Pooled reuse must behave like a fresh plane on both sides.
             dense.reset(n);
@@ -336,6 +379,13 @@ fn sparse_plane_survives_resize_reuse() {
                 &mut sparse,
                 n,
                 &format!("resize {i} n={n} step={step}"),
+            );
+            random_group_op(&mut gen, &mut dense, &mut sparse, n);
+            assert_equivalent(
+                &dense,
+                &mut sparse,
+                n,
+                &format!("resize {i} n={n} step={step} group"),
             );
         }
     }
@@ -382,6 +432,7 @@ fn recording_view_matches_dense_mailbox() {
             let mut sparse: SparseMailbox<Tm> = SparseMailbox::new(n);
             for step in 0..gen.gen_range(4..40usize) {
                 random_op(&mut gen, &mut dense, &mut sparse, n);
+                random_group_op(&mut gen, &mut dense, &mut sparse, n);
                 for s in (0..n as u32).map(NodeId::new) {
                     let d: Vec<_> = MessagePlane::deviations(&dense, s).collect();
                     let sp: Vec<_> = MessagePlane::deviations(&sparse, s).collect();
