@@ -155,24 +155,33 @@ mod tests {
         assert_eq!(report.honest.iter().filter(|h| !**h).count(), 3);
     }
 
+    /// Runs `adv` on 8 nodes to completion; returns the report and the
+    /// rounds of the ledger's corruption history, in order.
+    fn crash_rounds(t: usize, adv: AdaptiveCrash) -> (RunReport, Vec<u64>) {
+        let mut sim = Simulation::new(SimConfig::new(8, t), nodes(8, 6), adv);
+        while sim.step() {}
+        let rounds = sim
+            .ledger()
+            .history()
+            .iter()
+            .map(|(r, _)| r.index())
+            .collect();
+        (sim.into_report(), rounds)
+    }
+
     #[test]
     fn bigbang_crashes_all_at_once() {
         let adv = AdaptiveCrash::new(CrashSchedule::BigBang { round: 2 });
-        let cfg = SimConfig::new(8, 4).with_trace(true);
-        let report = Simulation::new(cfg, nodes(8, 6), adv).run();
+        let (report, rounds) = crash_rounds(4, adv);
         assert_eq!(report.corruptions_used, 4);
-        for (round, _) in report.trace.corruptions() {
-            assert_eq!(round.index(), 2);
-        }
+        assert_eq!(rounds, vec![2; 4]);
     }
 
     #[test]
     fn window_crashes_one_per_round() {
         let adv = AdaptiveCrash::new(CrashSchedule::Window { from: 1, to: 4 });
-        let cfg = SimConfig::new(8, 8).with_trace(true);
-        let report = Simulation::new(cfg, nodes(8, 6), adv).run();
+        let (report, rounds) = crash_rounds(8, adv);
         assert_eq!(report.corruptions_used, 3);
-        let rounds: Vec<u64> = report.trace.corruptions().map(|(r, _)| r.index()).collect();
         assert_eq!(rounds, vec![1, 2, 3]);
     }
 

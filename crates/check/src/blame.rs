@@ -155,7 +155,7 @@ pub fn blame_disagreement(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aba_sim::{RunMetrics, Trace};
+    use aba_sim::RunMetrics;
 
     fn report(outputs: Vec<Option<bool>>, honest: Vec<bool>) -> RunReport {
         RunReport {
@@ -166,7 +166,6 @@ mod tests {
             corruptions_used: honest.iter().filter(|h| !**h).count(),
             outputs,
             metrics: RunMetrics::default(),
-            trace: Trace::default(),
         }
     }
 

@@ -123,8 +123,10 @@ impl ScenarioBuilder {
     }
 
     /// Sets the in-round worker count (default 1 = serial). Results are
-    /// byte-identical at any thread count; this only trades wall-clock
-    /// for cores on large `n`.
+    /// byte-identical at any thread count, but more threads are not
+    /// faster: on the reference 2-vCPU host `threads = 2` ran 30–47%
+    /// slower than `threads = 1` at n = 16,384 and 65,536, and no
+    /// experiment, campaign or benchmark workload sets it.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.scenario.threads = threads;

@@ -107,12 +107,6 @@ pub enum EventKind {
         /// Corruptions this round.
         corruptions: usize,
     },
-    /// The per-round metrics ring buffer evicted rounds — the recorded
-    /// history in `RunMetrics::per_round` is truncated.
-    Truncated {
-        /// Rounds evicted from the per-round history.
-        dropped_rounds: u64,
-    },
     /// Free-form annotation (e.g. "cell restored from checkpoint").
     Note {
         /// The annotation.
@@ -135,7 +129,6 @@ impl EventKind {
             EventKind::Halt { .. } => "halt",
             EventKind::Violation { .. } => "violation",
             EventKind::RoundEnd { .. } => "round-end",
-            EventKind::Truncated { .. } => "truncated",
             EventKind::Note { .. } => "note",
         }
     }
@@ -259,9 +252,6 @@ impl EventLog {
                         round.index()
                     );
                 }
-                EventKind::Truncated { dropped_rounds } => {
-                    let _ = write!(out, " dropped_rounds={dropped_rounds}");
-                }
                 EventKind::Note { text } => {
                     let _ = write!(out, " text={text}");
                 }
@@ -307,13 +297,11 @@ mod tests {
             node: NodeId::new(3),
             output: Some(true),
         });
-        log.push(EventKind::Truncated { dropped_rounds: 9 });
         assert_eq!(
             log.render(),
             "0 trial-start n=4 t=1 seed=7\n\
              1 phase-end round=0 phase=emit\n\
-             2 halt round=2 node=v3 output=true\n\
-             3 truncated dropped_rounds=9\n"
+             2 halt round=2 node=v3 output=true\n"
         );
     }
 

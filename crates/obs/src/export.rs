@@ -84,8 +84,7 @@ pub fn chrome_trace_from_spans(spans: &[SpanRecord]) -> String {
 /// **logical** timeline: one microsecond per tick. Span levels
 /// (campaign/cell/trial/round) become `B`/`E` pairs, phases become `X`
 /// complete events spanning from the previous phase boundary, and point
-/// events (corruptions, halts, violations, truncation, notes) become
-/// `i` instants.
+/// events (corruptions, halts, violations, notes) become `i` instants.
 pub fn chrome_trace(log: &EventLog) -> String {
     join_trace(chrome_trace_events(log))
 }
@@ -169,13 +168,6 @@ pub(crate) fn chrome_trace_events(log: &EventLog) -> Vec<String> {
             }
             EventKind::Violation { oracle, .. } => {
                 instant(&mut events, format!("violation {oracle}"), ts);
-            }
-            EventKind::Truncated { dropped_rounds } => {
-                instant(
-                    &mut events,
-                    format!("per-round history truncated ({dropped_rounds} dropped)"),
-                    ts,
-                );
             }
             EventKind::Note { text } => instant(&mut events, format!("note: {text}"), ts),
         }

@@ -9,7 +9,7 @@
 //! * **Channel 1 — deterministic** ([`event`], [`metrics`], [`probe`]):
 //!   a structured [`EventLog`] on *logical* time (campaign → cell →
 //!   trial → round → phase spans plus typed corruption / halt /
-//!   violation / truncation events) and a [`MetricsRegistry`] of
+//!   violation events) and a [`MetricsRegistry`] of
 //!   counters, high-water gauges, and fixed-boundary histograms. Every
 //!   merge is commutative and associative and every render iterates in
 //!   sorted order, so serialized output is **bit-identical across sweep

@@ -3,8 +3,8 @@
 //! This replaces the raw `eprintln!` progress lines that used to live
 //! in the sweep executor and experiment driver. It is *shell* plumbing,
 //! not simulation state: the level is a process-wide atomic set once by
-//! the CLI (`--quiet`/`--verbose`), and messages go to stderr so they
-//! never contaminate artifact files. At the default level the output is
+//! the CLI (`--quiet`), and messages go to stderr so they never
+//! contaminate artifact files. At the default level the output is
 //! byte-identical to the old `eprintln!` lines; `--quiet` silences
 //! progress (CI) while warnings still print.
 
@@ -17,8 +17,6 @@ pub enum Verbosity {
     Quiet = 0,
     /// Progress lines (the default; matches the pre-obs output).
     Normal = 1,
-    /// Additional diagnostics.
-    Verbose = 2,
 }
 
 static LEVEL: AtomicU8 = AtomicU8::new(Verbosity::Normal as u8);
@@ -32,8 +30,7 @@ pub fn set_verbosity(v: Verbosity) {
 pub fn verbosity() -> Verbosity {
     match LEVEL.load(Ordering::Relaxed) {
         0 => Verbosity::Quiet,
-        1 => Verbosity::Normal,
-        _ => Verbosity::Verbose,
+        _ => Verbosity::Normal,
     }
 }
 
@@ -43,17 +40,9 @@ pub fn warn(msg: &str) {
     eprintln!("{msg}");
 }
 
-/// Prints `msg` to stderr at [`Verbosity::Normal`] and above —
-/// progress lines.
+/// Prints `msg` to stderr at [`Verbosity::Normal`] — progress lines.
 pub fn info(msg: &str) {
     if verbosity() >= Verbosity::Normal {
-        eprintln!("{msg}");
-    }
-}
-
-/// Prints `msg` to stderr only at [`Verbosity::Verbose`].
-pub fn debug(msg: &str) {
-    if verbosity() >= Verbosity::Verbose {
         eprintln!("{msg}");
     }
 }
@@ -65,7 +54,6 @@ mod tests {
     #[test]
     fn levels_order() {
         assert!(Verbosity::Quiet < Verbosity::Normal);
-        assert!(Verbosity::Normal < Verbosity::Verbose);
     }
 
     #[test]
@@ -73,8 +61,8 @@ mod tests {
         let prev = verbosity();
         set_verbosity(Verbosity::Quiet);
         assert_eq!(verbosity(), Verbosity::Quiet);
-        set_verbosity(Verbosity::Verbose);
-        assert_eq!(verbosity(), Verbosity::Verbose);
+        set_verbosity(Verbosity::Normal);
+        assert_eq!(verbosity(), Verbosity::Normal);
         set_verbosity(prev);
     }
 }

@@ -34,8 +34,6 @@ pub mod names {
     pub const HALTS: &str = "sim.halts";
     /// Counter: trials observed.
     pub const TRIALS: &str = "sim.trials";
-    /// Counter: trials whose per-round history was ring-truncated.
-    pub const TRUNCATED_TRIALS: &str = "sim.truncated_trials";
     /// Gauge: max bits crossing any edge in any round (CONGEST bound).
     pub const MAX_EDGE_BITS: &str = "sim.max_edge_bits";
     /// Histogram: messages per round.
@@ -190,12 +188,6 @@ impl Probe for EventProbe {
             rounds: report.rounds,
             all_halted: report.all_halted,
         });
-        if report.metrics.per_round_truncated() {
-            self.log.push(EventKind::Truncated {
-                dropped_rounds: report.metrics.per_round_dropped,
-            });
-            self.metrics.counter_add(names::TRUNCATED_TRIALS, 1);
-        }
         self.flush_tally();
     }
 }
@@ -203,7 +195,7 @@ impl Probe for EventProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use aba_sim::{RunMetrics, Trace};
+    use aba_sim::RunMetrics;
 
     fn report() -> RunReport {
         RunReport {
@@ -214,7 +206,6 @@ mod tests {
             corruptions_used: 0,
             halt_rounds: vec![Some(0); 4],
             metrics: RunMetrics::default(),
-            trace: Trace::default(),
         }
     }
 

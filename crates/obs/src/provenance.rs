@@ -973,7 +973,6 @@ mod tests {
             corruptions_used: 0,
             halt_rounds: vec![None, None],
             metrics: aba_sim::RunMetrics::default(),
-            trace: aba_sim::Trace::default(),
         };
         p.run_end(&report);
         let s = p.explain(NodeId::new(0)).expect("snapshot");

@@ -66,12 +66,6 @@ impl Stopwatch {
         }
     }
 
-    /// Nanoseconds since [`Stopwatch::start`].
-    #[allow(clippy::disallowed_methods)] // timing channel
-    pub fn elapsed_ns(&self) -> u64 {
-        self.start.elapsed().as_nanos() as u64
-    }
-
     /// Microseconds since [`Stopwatch::start`].
     #[allow(clippy::disallowed_methods)] // timing channel
     pub fn elapsed_us(&self) -> u64 {

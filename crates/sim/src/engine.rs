@@ -11,7 +11,14 @@
 //!    round (the default, [`PassThrough`], delivers everything
 //!    immediately — the paper's synchronous model), then every live
 //!    honest node processes its inbox;
-//! 4. metrics and trace are updated.
+//! 4. the round's [`RoundMetrics`] go to the oracle's
+//!    [`Oracle::observe_round`] and the probe's [`Probe::round_end`],
+//!    and are absorbed into the run totals.
+//!
+//! The engine keeps no event log of its own. A run reports each fact
+//! once: totals in [`RunReport`], corruptions in
+//! [`CorruptionLedger::history`], and everything per round through the
+//! [`Probe`] hooks.
 
 use crate::adversary::{Adversary, CorruptionLedger, InfoModel, RoundView};
 use crate::delivery::{Delivery, PassThrough};
@@ -25,7 +32,6 @@ use crate::plane::MessagePlane;
 use crate::probe::{NoProbe, Probe, RoundPhase};
 use crate::protocol::Protocol;
 use crate::rng::{self, streams};
-use crate::trace::{Event, Trace};
 use rand::rngs::SmallRng;
 
 /// Configuration of a run.
@@ -41,10 +47,6 @@ pub struct SimConfig {
     pub max_rounds: u64,
     /// Master seed; the run is a pure function of `(config, seed)`.
     pub seed: u64,
-    /// Record per-round metrics (memory-proportional to rounds).
-    pub record_rounds: bool,
-    /// Record a structured event trace.
-    pub trace: bool,
     /// In-round worker threads for the emit and receive phases
     /// (`0`/`1` = serial). Results are byte-identical at any value:
     /// nodes are sharded into fixed contiguous ID ranges, each node
@@ -63,8 +65,6 @@ impl SimConfig {
             info_model: InfoModel::Rushing,
             max_rounds: 10_000,
             seed: 0,
-            record_rounds: false,
-            trace: false,
             threads: 1,
         }
     }
@@ -87,20 +87,6 @@ impl SimConfig {
     #[must_use]
     pub fn with_max_rounds(mut self, r: u64) -> Self {
         self.max_rounds = r;
-        self
-    }
-
-    /// Enables the event trace.
-    #[must_use]
-    pub fn with_trace(mut self, on: bool) -> Self {
-        self.trace = on;
-        self
-    }
-
-    /// Enables per-round metric recording.
-    #[must_use]
-    pub fn with_round_metrics(mut self, on: bool) -> Self {
-        self.record_rounds = on;
         self
     }
 
@@ -130,8 +116,6 @@ pub struct RunReport {
     pub halt_rounds: Vec<Option<u64>>,
     /// Aggregated measurements.
     pub metrics: RunMetrics,
-    /// Event log (empty unless tracing was enabled).
-    pub trace: Trace,
 }
 
 impl RunReport {
@@ -205,7 +189,6 @@ pub struct Simulation<
     /// mid-run; the final report re-reads the nodes).
     outputs: Vec<Option<bool>>,
     metrics: RunMetrics,
-    trace: Trace,
     round: Round,
     done: bool,
     /// Pooled round plane: taken at the start of [`Simulation::step`],
@@ -238,22 +221,10 @@ impl<P: Protocol, A: Adversary<P>> Simulation<P, A, PassThrough> {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes.len() != cfg.n` or `cfg.n == 0` — these are
-    /// programming errors, not runtime conditions. Use
-    /// [`Simulation::try_new`] for fallible construction.
+    /// Panics if `cfg.n == 0` or `nodes.len() != cfg.n` — these are
+    /// programming errors, not runtime conditions.
     pub fn new(cfg: SimConfig, nodes: Vec<P>, adversary: A) -> Self {
-        Self::try_new(cfg, nodes, adversary).expect("invalid simulation setup")
-    }
-
-    /// Fallible constructor on the synchronous network.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::BadNetworkSize`] if `n == 0` and
-    /// [`SimError::NodeCountMismatch`] if the node vector has the wrong
-    /// length.
-    pub fn try_new(cfg: SimConfig, nodes: Vec<P>, adversary: A) -> Result<Self, SimError> {
-        Self::try_with_network(cfg, nodes, adversary, PassThrough)
+        Self::with_network(cfg, nodes, adversary, PassThrough)
     }
 }
 
@@ -264,21 +235,7 @@ impl<P: Protocol, A: Adversary<P>, D: Delivery<P::Msg>> Simulation<P, A, D> {
     ///
     /// Same conditions as [`Simulation::new`].
     pub fn with_network(cfg: SimConfig, nodes: Vec<P>, adversary: A, delivery: D) -> Self {
-        Self::try_with_network(cfg, nodes, adversary, delivery).expect("invalid simulation setup")
-    }
-
-    /// Fallible constructor with an explicit network delivery stage.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulation::try_new`].
-    pub fn try_with_network(
-        cfg: SimConfig,
-        nodes: Vec<P>,
-        adversary: A,
-        delivery: D,
-    ) -> Result<Self, SimError> {
-        Simulation::try_with_oracle(cfg, nodes, adversary, delivery, NoOracle)
+        Simulation::with_oracle(cfg, nodes, adversary, delivery, NoOracle)
     }
 }
 
@@ -296,23 +253,7 @@ impl<P: Protocol, A: Adversary<P>, D: Delivery<P::Msg>, O: Oracle<P::Msg>> Simul
         delivery: D,
         oracle: O,
     ) -> Self {
-        Self::try_with_oracle(cfg, nodes, adversary, delivery, oracle)
-            .expect("invalid simulation setup")
-    }
-
-    /// Fallible constructor with an explicit delivery stage and oracle.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulation::try_new`].
-    pub fn try_with_oracle(
-        cfg: SimConfig,
-        nodes: Vec<P>,
-        adversary: A,
-        delivery: D,
-        oracle: O,
-    ) -> Result<Self, SimError> {
-        Simulation::try_with_instruments(cfg, nodes, adversary, delivery, oracle, NoProbe)
+        Simulation::with_instruments(cfg, nodes, adversary, delivery, oracle, NoProbe)
     }
 }
 
@@ -326,7 +267,8 @@ impl<
     > Simulation<P, A, D, O, B, L>
 {
     /// Creates a fully-instrumented simulation: explicit delivery stage,
-    /// online oracle, and engine probe (see [`Probe`]).
+    /// online oracle, and engine probe (see [`Probe`]). The probe's
+    /// [`Probe::run_start`] hook fires here, on the validated config.
     ///
     /// # Panics
     ///
@@ -337,51 +279,29 @@ impl<
         adversary: A,
         delivery: D,
         oracle: O,
-        probe: B,
-    ) -> Self {
-        Self::try_with_instruments(cfg, nodes, adversary, delivery, oracle, probe)
-            .expect("invalid simulation setup")
-    }
-
-    /// Fallible fully-instrumented constructor. The probe's
-    /// [`Probe::run_start`] hook fires here, on the validated config.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Simulation::try_new`].
-    pub fn try_with_instruments(
-        cfg: SimConfig,
-        nodes: Vec<P>,
-        adversary: A,
-        delivery: D,
-        oracle: O,
         mut probe: B,
-    ) -> Result<Self, SimError> {
+    ) -> Self {
         if cfg.n == 0 {
-            return Err(SimError::BadNetworkSize { n: 0 });
+            panic!("invalid simulation setup: invalid network size n=0");
         }
         if nodes.len() != cfg.n {
-            return Err(SimError::NodeCountMismatch {
-                expected: cfg.n,
-                got: nodes.len(),
-            });
+            panic!(
+                "invalid simulation setup: expected {} protocol nodes, got {}",
+                cfg.n,
+                nodes.len()
+            );
         }
         let node_rngs = (0..cfg.n).map(|i| rng::node_rng(cfg.seed, i)).collect();
         let adv_rng = rng::rng_for(cfg.seed, streams::ADVERSARY);
         let ledger = CorruptionLedger::new(cfg.n, cfg.t);
-        let trace = if cfg.trace {
-            Trace::enabled()
-        } else {
-            Trace::disabled()
-        };
         probe.run_start(&cfg);
         let mut mailbox_pool = L::default();
         mailbox_pool.reset(cfg.n);
-        Ok(Simulation {
+        Simulation {
             halted: vec![false; cfg.n],
             halt_rounds: vec![None; cfg.n],
             outputs: vec![None; cfg.n],
-            metrics: RunMetrics::new(cfg.record_rounds),
+            metrics: RunMetrics::default(),
             mailbox_pool,
             emit_buf: Vec::new(),
             arrival_scan: crate::arrivals::ArrivalScan::new(),
@@ -393,11 +313,10 @@ impl<
             ledger,
             node_rngs,
             adv_rng,
-            trace,
             round: Round::ZERO,
             done: false,
             cfg,
-        })
+        }
     }
 
     /// The configuration.
@@ -439,11 +358,6 @@ impl<
         self.halted[i] = true;
         self.halt_rounds[i] = Some(round.index());
         self.outputs[i] = self.nodes[i].output();
-        self.trace.push(Event::Halt {
-            round,
-            node: id,
-            output: self.outputs[i],
-        });
         self.probe.halt(round, id, self.outputs[i]);
     }
 
@@ -464,7 +378,6 @@ impl<
         let n = self.cfg.n;
         let round = self.round;
         let threads = self.cfg.threads.clamp(1, n);
-        self.trace.push(Event::RoundStart { round });
         self.probe.round_start(round);
 
         // Phase 1: live honest nodes emit. The round mailbox is pooled:
@@ -474,8 +387,8 @@ impl<
         // ID ranges; each worker writes emissions into its slice of the
         // pooled buffer, and the main thread then installs them — and
         // replays the halt bookkeeping — strictly in ID order, so the
-        // mailbox, trace, and probe streams are byte-identical to the
-        // serial schedule at any thread count.
+        // mailbox and probe streams are byte-identical to the serial
+        // schedule at any thread count.
         let mut mailbox = std::mem::take(&mut self.mailbox_pool);
         mailbox.reset(n);
         if threads > 1 {
@@ -562,11 +475,6 @@ impl<
             self.ledger
                 .corrupt(*id, round)
                 .unwrap_or_else(|e| panic!("adversary violated corruption rules: {e}"));
-            self.trace.push(Event::Corruption {
-                round,
-                node: *id,
-                total: self.ledger.used(),
-            });
             self.probe.corruption(round, *id, self.ledger.used());
         }
         // Every corrupted node's slot is reset: silent unless the action
@@ -669,18 +577,11 @@ impl<
 
         // Phase 4: metrics, and the oracle's end-of-round observation
         // (the arrivals mailbox is still at hand here).
-        let halted_honest = self
-            .halted
-            .iter()
-            .enumerate()
-            .filter(|(i, h)| **h && !self.ledger.is_corrupted(NodeId::new(*i as u32)))
-            .count();
         let round_metrics = RoundMetrics {
             messages: round_messages,
             bits: round_bits,
             max_edge_bits: round_max_edge,
             corruptions: self.ledger.used() - corruptions_before,
-            halted_honest,
             delivered: delivery_stats.delivered,
             dropped: delivery_stats.dropped,
             delayed: delivery_stats.delayed,
@@ -697,7 +598,7 @@ impl<
             _msg: std::marker::PhantomData,
         });
         self.probe.round_end(round, &round_metrics);
-        self.metrics.absorb(round_metrics, self.cfg.record_rounds);
+        self.metrics.absorb(round_metrics);
         // The arrivals mailbox becomes next round's pooled wire mailbox.
         self.mailbox_pool = arrivals;
 
@@ -747,12 +648,6 @@ impl<
         self.into_parts().0
     }
 
-    /// Finalizes into the report plus the oracle (the probe is dropped).
-    pub fn into_report_and_oracle(self) -> (RunReport, O) {
-        let (report, oracle, _) = self.into_parts();
-        (report, oracle)
-    }
-
     /// Finalizes into the report, the oracle, and the probe. The
     /// oracle's [`Oracle::observe_end`] and the probe's
     /// [`Probe::run_end`] hooks fire here, on the finished report.
@@ -779,7 +674,6 @@ impl<
             corruptions_used: self.ledger.used(),
             halt_rounds: self.halt_rounds,
             metrics: self.metrics,
-            trace: self.trace,
         };
         self.oracle.observe_end(&report);
         self.probe.run_end(&report);
@@ -914,9 +808,11 @@ mod tests {
 
     #[test]
     fn corruption_replaces_emission_and_freezes_node() {
-        let cfg = SimConfig::new(3, 1).with_trace(true);
         // All inputs true; node 0 equivocates 1/0 to nodes 1/2.
-        let report = Simulation::new(cfg, maj_nodes(3, 3, 1), CorruptZero).run();
+        let mut sim = Simulation::new(SimConfig::new(3, 1), maj_nodes(3, 3, 1), CorruptZero);
+        while sim.step() {}
+        assert_eq!(sim.ledger().history(), [(Round::ZERO, NodeId::new(0))]);
+        let report = sim.into_report();
         assert_eq!(report.corruptions_used, 1);
         assert!(!report.honest[0]);
         // Node 1 saw {v0:1, v1:1, v2:1} -> true; node 2 saw {v0:0, v1:1, v2:1} -> true.
@@ -924,7 +820,6 @@ mod tests {
         assert_eq!(report.outputs[2], Some(true));
         // Corrupted node has no output.
         assert_eq!(report.outputs[0], None);
-        assert_eq!(report.trace.corruptions().count(), 1);
     }
 
     #[test]
@@ -957,13 +852,71 @@ mod tests {
         let _ = Simulation::new(SimConfig::new(3, 1), maj_nodes(3, 2, 2), Imposter).run();
     }
 
+    /// One engine hook call, with its arguments.
+    #[derive(Debug, Clone, PartialEq)]
+    enum Hook {
+        RunStart(SimConfig),
+        RoundStart(Round),
+        PhaseEnd(Round, RoundPhase),
+        Corruption(Round, NodeId, usize),
+        Halt(Round, NodeId, Option<bool>),
+        RoundEnd(Round, RoundMetrics),
+        RunEnd(u64),
+    }
+
+    /// A probe that records every hook in firing order.
+    #[derive(Debug, Default)]
+    struct Recorder(Vec<Hook>);
+
+    impl Probe for Recorder {
+        fn run_start(&mut self, cfg: &SimConfig) {
+            self.0.push(Hook::RunStart(cfg.clone()));
+        }
+        fn round_start(&mut self, round: Round) {
+            self.0.push(Hook::RoundStart(round));
+        }
+        fn phase_end(&mut self, round: Round, phase: RoundPhase) {
+            self.0.push(Hook::PhaseEnd(round, phase));
+        }
+        fn corruption(&mut self, round: Round, node: NodeId, total: usize) {
+            self.0.push(Hook::Corruption(round, node, total));
+        }
+        fn halt(&mut self, round: Round, node: NodeId, output: Option<bool>) {
+            self.0.push(Hook::Halt(round, node, output));
+        }
+        fn round_end(&mut self, round: Round, metrics: &RoundMetrics) {
+            self.0.push(Hook::RoundEnd(round, *metrics));
+        }
+        fn run_end(&mut self, report: &RunReport) {
+            self.0.push(Hook::RunEnd(report.rounds));
+        }
+    }
+
+    /// Runs `adversary` on the synchronous network with a [`Recorder`].
+    fn recorded<A: Adversary<Maj>>(
+        cfg: SimConfig,
+        nodes: Vec<Maj>,
+        adversary: A,
+    ) -> (RunReport, Vec<Hook>) {
+        let sim: Simulation<Maj, A, PassThrough, NoOracle, Recorder> = Simulation::with_instruments(
+            cfg,
+            nodes,
+            adversary,
+            PassThrough,
+            NoOracle,
+            Recorder::default(),
+        );
+        let (report, NoOracle, hooks) = sim.run_instrumented();
+        (report, hooks.0)
+    }
+
     #[test]
     fn boxed_adversary_runs_like_the_unboxed_one() {
-        let cfg = SimConfig::new(5, 1).with_seed(11).with_trace(true);
-        let plain = Simulation::new(cfg.clone(), maj_nodes(5, 3, 2), CorruptZero).run();
+        let cfg = SimConfig::new(5, 1).with_seed(11);
+        let (plain, plain_hooks) = recorded(cfg.clone(), maj_nodes(5, 3, 2), CorruptZero);
         let adversary: Box<dyn Adversary<Maj>> = Box::new(CorruptZero);
         assert_eq!(adversary.name(), CorruptZero.name());
-        let boxed = Simulation::new(cfg, maj_nodes(5, 3, 2), adversary).run();
+        let (boxed, boxed_hooks) = recorded(cfg, maj_nodes(5, 3, 2), adversary);
         assert_eq!(boxed.rounds, plain.rounds);
         assert_eq!(boxed.all_halted, plain.all_halted);
         assert_eq!(boxed.outputs, plain.outputs);
@@ -971,7 +924,8 @@ mod tests {
         assert_eq!(boxed.corruptions_used, plain.corruptions_used);
         assert_eq!(boxed.halt_rounds, plain.halt_rounds);
         assert_eq!(boxed.metrics, plain.metrics);
-        assert_eq!(boxed.trace.events(), plain.trace.events());
+        assert_eq!(boxed_hooks, plain_hooks);
+        assert!(plain_hooks.contains(&Hook::Corruption(Round::ZERO, NodeId::new(0), 1)));
         assert_eq!(plain.corruptions_used, 1, "the wrapped strategy acted");
     }
 
@@ -1015,15 +969,15 @@ mod tests {
     }
 
     #[test]
-    fn try_new_validates() {
-        assert!(matches!(
-            Simulation::try_new(SimConfig::new(0, 0), Vec::<Maj>::new(), Benign),
-            Err(SimError::BadNetworkSize { .. })
-        ));
-        assert!(matches!(
-            Simulation::try_new(SimConfig::new(3, 0), maj_nodes(2, 1, 1), Benign),
-            Err(SimError::NodeCountMismatch { .. })
-        ));
+    #[should_panic(expected = "invalid simulation setup: invalid network size n=0")]
+    fn empty_network_panics() {
+        let _ = Simulation::new(SimConfig::new(0, 0), Vec::<Maj>::new(), Benign);
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid simulation setup: expected 3 protocol nodes, got 2")]
+    fn node_count_mismatch_panics() {
+        let _ = Simulation::new(SimConfig::new(3, 0), maj_nodes(2, 1, 1), Benign);
     }
 
     #[test]

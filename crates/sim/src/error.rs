@@ -1,24 +1,12 @@
-//! Error type for simulator configuration and adversary-action validation.
+//! Error type for adversary-action validation.
 
 use crate::id::{NodeId, Round};
 use std::error::Error;
 use std::fmt;
 
-/// Errors produced while configuring or driving a simulation.
+/// Errors produced while driving a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// The network size is zero or otherwise unusable.
-    BadNetworkSize {
-        /// Requested number of nodes.
-        n: usize,
-    },
-    /// The number of protocol nodes does not match the configured `n`.
-    NodeCountMismatch {
-        /// Configured network size.
-        expected: usize,
-        /// Nodes actually supplied.
-        got: usize,
-    },
     /// The adversary tried to corrupt more nodes than its budget allows.
     BudgetExceeded {
         /// Corruption budget `t`.
@@ -47,10 +35,6 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::BadNetworkSize { n } => write!(f, "invalid network size n={n}"),
-            SimError::NodeCountMismatch { expected, got } => {
-                write!(f, "expected {expected} protocol nodes, got {got}")
-            }
             SimError::BudgetExceeded {
                 budget,
                 requested,
@@ -94,15 +78,6 @@ mod tests {
         };
         assert!(e.to_string().contains("v4"));
 
-        assert!(SimError::BadNetworkSize { n: 0 }
-            .to_string()
-            .contains("n=0"));
-        assert!(SimError::NodeCountMismatch {
-            expected: 4,
-            got: 2
-        }
-        .to_string()
-        .contains("expected 4"));
         assert!(SimError::UnknownNode {
             node: NodeId::new(9),
             n: 4
@@ -114,6 +89,9 @@ mod tests {
     #[test]
     fn error_trait_is_implemented() {
         fn takes_err<E: std::error::Error>(_: E) {}
-        takes_err(SimError::BadNetworkSize { n: 0 });
+        takes_err(SimError::UnknownNode {
+            node: NodeId::new(9),
+            n: 4,
+        });
     }
 }

@@ -24,6 +24,12 @@
 //! The engine is deterministic: a run is a pure function of the
 //! configuration and a 64-bit master seed (see [`rng`]).
 //!
+//! A run reports each fact once: totals in [`RunReport`] and its
+//! [`RunMetrics`], the corruption schedule in
+//! [`CorruptionLedger::history`], and everything per round (round
+//! boundaries, corruptions, halts, [`RoundMetrics`]) through the
+//! [`Probe`] hooks, the engine's only event channel.
+//!
 //! ## Quick example
 //!
 //! ```
@@ -80,7 +86,6 @@ pub mod probe;
 pub mod protocol;
 pub mod rng;
 pub mod sparse;
-pub mod trace;
 pub mod verdict;
 
 pub use adversary::{Adversary, AdversaryAction, CorruptionLedger, InfoModel, RoundView};
@@ -91,14 +96,13 @@ pub use error::SimError;
 pub use id::{NodeId, Round};
 pub use mailbox::{Inbox, RoundMailbox};
 pub use message::{Emission, Message};
-pub use metrics::{RoundMetrics, RunMetrics, PER_ROUND_CAP};
+pub use metrics::{RoundMetrics, RunMetrics};
 pub use oracle::{NoOracle, Oracle, RoundCtx};
 pub use packed::{PackedMailbox, PackedMessage};
 pub use plane::MessagePlane;
 pub use probe::{NoProbe, Probe, RoundPhase};
 pub use protocol::Protocol;
 pub use sparse::SparseMailbox;
-pub use trace::{Event, Trace};
 pub use verdict::Verdict;
 
 /// Convenient glob import for downstream crates and examples.
@@ -120,6 +124,5 @@ pub mod prelude {
     pub use crate::probe::{NoProbe, Probe, RoundPhase};
     pub use crate::protocol::Protocol;
     pub use crate::sparse::SparseMailbox;
-    pub use crate::trace::{Event, Trace};
     pub use crate::verdict::Verdict;
 }

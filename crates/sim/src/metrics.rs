@@ -5,11 +5,16 @@
 //! (`O(min{n·t²·log n, n²·t/log n})`, Section 1.2), and CONGEST
 //! compliance (`O(log n)` bits per edge per round, Section 1.1).
 
-/// Measurements for a single round.
+/// Measurements for a single round. The engine hands them to
+/// [`Oracle::observe_round`](crate::oracle::Oracle::observe_round) and
+/// [`Probe::round_end`](crate::probe::Probe::round_end), then folds them
+/// into [`RunMetrics`]; a caller that wants per-round history records it
+/// from the probe hook.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RoundMetrics {
-    /// Point-to-point messages delivered this round (a broadcast in an
-    /// `n`-node network counts as `n - 1`).
+    /// Point-to-point messages emitted this round, counted on the wire
+    /// before the delivery stage (a broadcast in an `n`-node network
+    /// counts as `n - 1`).
     pub messages: usize,
     /// Total bits on the wire this round.
     pub bits: usize,
@@ -17,8 +22,6 @@ pub struct RoundMetrics {
     pub max_edge_bits: usize,
     /// Corruptions performed this round.
     pub corruptions: usize,
-    /// Honest nodes that halted by the end of this round (cumulative).
-    pub halted_honest: usize,
     /// Point-to-point messages actually handed to receivers this round
     /// (equals `messages` under the synchronous network).
     pub delivered: usize,
@@ -28,14 +31,6 @@ pub struct RoundMetrics {
     /// back and once per further deferral).
     pub delayed: usize,
 }
-
-/// Capacity of the per-round ring buffer: recording keeps the **most
-/// recent** `PER_ROUND_CAP` rounds, so probe-enabled long-horizon runs
-/// (the sampling dynamics run for thousands of rounds; future async
-/// engines for more) hold bounded memory instead of growing linearly.
-/// Evictions are counted in [`RunMetrics::per_round_dropped`] so every
-/// export can carry an explicit "truncated" marker.
-pub const PER_ROUND_CAP: usize = 4096;
 
 /// Aggregated measurements for a whole run.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -59,32 +54,11 @@ pub struct RunMetrics {
     pub total_dropped: usize,
     /// Total delay events (see [`RoundMetrics::delayed`]).
     pub total_delayed: usize,
-    /// Per-round breakdown (present only when recording is enabled).
-    ///
-    /// This is a **ring buffer** capped at [`PER_ROUND_CAP`]: once the
-    /// cap is reached the oldest round is overwritten, so the vector's
-    /// storage order is rotated. Read through
-    /// [`RunMetrics::per_round_ordered`] for chronological order and
-    /// check [`RunMetrics::per_round_truncated`] before treating it as
-    /// the complete history.
-    pub per_round: Vec<RoundMetrics>,
-    /// Rounds evicted from [`RunMetrics::per_round`] by the ring-buffer
-    /// cap — non-zero exactly when the recorded history is truncated.
-    pub per_round_dropped: u64,
 }
 
 impl RunMetrics {
-    /// Creates empty metrics; `record_rounds` controls whether the
-    /// per-round breakdown is kept (costs memory on long runs).
-    pub fn new(record_rounds: bool) -> Self {
-        RunMetrics {
-            per_round: Vec::with_capacity(if record_rounds { 64 } else { 0 }),
-            ..Default::default()
-        }
-    }
-
     /// Folds one round's metrics into the totals.
-    pub fn absorb(&mut self, rm: RoundMetrics, keep_round: bool) {
+    pub fn absorb(&mut self, rm: RoundMetrics) {
         self.rounds += 1;
         self.total_messages += rm.messages;
         self.total_bits += rm.bits;
@@ -93,44 +67,6 @@ impl RunMetrics {
         self.total_delivered += rm.delivered;
         self.total_dropped += rm.dropped;
         self.total_delayed += rm.delayed;
-        if keep_round {
-            if self.per_round.len() < PER_ROUND_CAP {
-                self.per_round.push(rm);
-            } else {
-                // Ring eviction: round index r lands in slot r % CAP, so
-                // the slot being overwritten always holds the oldest
-                // surviving round.
-                let slot = ((self.rounds - 1) % PER_ROUND_CAP as u64) as usize;
-                self.per_round[slot] = rm;
-                self.per_round_dropped += 1;
-            }
-        }
-    }
-
-    /// Whether the per-round ring buffer evicted any rounds — exports
-    /// must surface this as an explicit "truncated" marker.
-    pub fn per_round_truncated(&self) -> bool {
-        self.per_round_dropped > 0
-    }
-
-    /// The recorded rounds in chronological order (oldest surviving
-    /// round first), undoing the ring buffer's storage rotation. When
-    /// nothing was evicted this is simply a copy of
-    /// [`RunMetrics::per_round`].
-    pub fn per_round_ordered(&self) -> Vec<RoundMetrics> {
-        if !self.per_round_truncated() {
-            return self.per_round.clone();
-        }
-        let head = (self.rounds % PER_ROUND_CAP as u64) as usize;
-        let mut out = Vec::with_capacity(self.per_round.len());
-        out.extend_from_slice(&self.per_round[head..]);
-        out.extend_from_slice(&self.per_round[..head]);
-        out
-    }
-
-    /// Average messages per round, if any rounds ran.
-    pub fn messages_per_round(&self) -> Option<f64> {
-        (self.rounds > 0).then(|| self.total_messages as f64 / self.rounds as f64)
     }
 }
 
@@ -140,33 +76,25 @@ mod tests {
 
     #[test]
     fn absorb_accumulates() {
-        let mut m = RunMetrics::new(true);
-        m.absorb(
-            RoundMetrics {
-                messages: 10,
-                bits: 100,
-                max_edge_bits: 12,
-                corruptions: 1,
-                halted_honest: 0,
-                delivered: 9,
-                dropped: 1,
-                delayed: 0,
-            },
-            true,
-        );
-        m.absorb(
-            RoundMetrics {
-                messages: 5,
-                bits: 40,
-                max_edge_bits: 30,
-                corruptions: 0,
-                halted_honest: 3,
-                delivered: 4,
-                dropped: 0,
-                delayed: 2,
-            },
-            true,
-        );
+        let mut m = RunMetrics::default();
+        m.absorb(RoundMetrics {
+            messages: 10,
+            bits: 100,
+            max_edge_bits: 12,
+            corruptions: 1,
+            delivered: 9,
+            dropped: 1,
+            delayed: 0,
+        });
+        m.absorb(RoundMetrics {
+            messages: 5,
+            bits: 40,
+            max_edge_bits: 30,
+            corruptions: 0,
+            delivered: 4,
+            dropped: 0,
+            delayed: 2,
+        });
         assert_eq!(m.rounds, 2);
         assert_eq!(m.total_messages, 15);
         assert_eq!(m.total_bits, 140);
@@ -175,63 +103,5 @@ mod tests {
         assert_eq!(m.total_delivered, 13);
         assert_eq!(m.total_dropped, 1);
         assert_eq!(m.total_delayed, 2);
-        assert_eq!(m.per_round.len(), 2);
-        assert_eq!(m.messages_per_round(), Some(7.5));
-    }
-
-    #[test]
-    fn no_rounds_means_no_average() {
-        let m = RunMetrics::new(false);
-        assert_eq!(m.messages_per_round(), None);
-    }
-
-    #[test]
-    fn per_round_can_be_skipped() {
-        let mut m = RunMetrics::new(false);
-        m.absorb(RoundMetrics::default(), false);
-        assert_eq!(m.rounds, 1);
-        assert!(m.per_round.is_empty());
-        assert!(!m.per_round_truncated());
-    }
-
-    /// One round's metrics tagged with a recognizable message count.
-    fn tagged(i: usize) -> RoundMetrics {
-        RoundMetrics {
-            messages: i,
-            ..RoundMetrics::default()
-        }
-    }
-
-    #[test]
-    fn per_round_ring_keeps_most_recent_rounds() {
-        let mut m = RunMetrics::new(true);
-        let total = PER_ROUND_CAP + 100;
-        for i in 0..total {
-            m.absorb(tagged(i), true);
-        }
-        assert_eq!(m.per_round.len(), PER_ROUND_CAP);
-        assert_eq!(m.per_round_dropped, 100);
-        assert!(m.per_round_truncated());
-        let ordered = m.per_round_ordered();
-        assert_eq!(ordered.len(), PER_ROUND_CAP);
-        assert_eq!(ordered[0].messages, 100, "oldest surviving round");
-        assert_eq!(ordered[PER_ROUND_CAP - 1].messages, total - 1, "newest");
-        // Chronological throughout, not just at the ends.
-        assert!(ordered
-            .windows(2)
-            .all(|w| w[1].messages == w[0].messages + 1));
-        // Totals are unaffected by eviction.
-        assert_eq!(m.rounds, total as u64);
-    }
-
-    #[test]
-    fn per_round_below_cap_is_complete_and_in_order() {
-        let mut m = RunMetrics::new(true);
-        for i in 0..10 {
-            m.absorb(tagged(i), true);
-        }
-        assert_eq!(m.per_round_dropped, 0);
-        assert_eq!(m.per_round_ordered(), m.per_round);
-        assert_eq!(m.per_round.len(), 10);
     }
 }

@@ -10,6 +10,12 @@
 //! metrics registry of `aba-obs`) live downstream, keeping `aba-sim`
 //! dependency-free.
 //!
+//! The seam is the engine's only event channel. The engine keeps no
+//! event log and no per-round history of its own: a caller that wants
+//! round boundaries, corruptions, halts or each round's
+//! [`RoundMetrics`] records them from these hooks, while the
+//! [`RunReport`] carries only run totals.
+//!
 //! Probes differ from [`Oracle`](crate::oracle::Oracle)s in what they
 //! see and what they are for: an oracle watches *protocol claims*
 //! (agreement, budgets) through typed per-round context, while a probe

@@ -1,5 +1,5 @@
 //! Engine edge cases: full corruption, corrupting halted nodes, zero
-//! budgets, trace completeness.
+//! budgets, and what the probe hooks report.
 
 use aba_sim::adversary::{Adversary, AdversaryAction, Benign, RoundView};
 use aba_sim::prelude::*;
@@ -107,36 +107,102 @@ fn zero_budget_ledger_blocks_everything() {
     assert!(report.honest.iter().all(|h| *h));
 }
 
-#[test]
-fn trace_records_round_starts_halts_and_corruptions() {
-    let cfg = SimConfig::new(4, 1).with_max_rounds(100).with_trace(true);
-    let mut all = nodes(4, 4);
-    all[0].deadline = 2;
-    let report = Simulation::new(cfg, all, LateCorruptor).run();
-    let round_starts = report
-        .trace
-        .events()
-        .iter()
-        .filter(|e| matches!(e, Event::RoundStart { .. }))
-        .count();
-    assert_eq!(round_starts as u64, report.rounds);
-    assert_eq!(report.trace.corruptions().count(), 1);
-    // Node 0 halted (round 1) before being corrupted (round 2).
-    let halts: Vec<_> = report.trace.halts().collect();
-    assert!(halts
-        .iter()
-        .any(|(r, node, _)| node.index() == 0 && r.index() == 1));
+/// Records the round-level probe hooks, in firing order.
+#[derive(Debug, Default)]
+struct Recorder {
+    round_starts: Vec<Round>,
+    corruptions: Vec<(Round, NodeId, usize)>,
+    halts: Vec<(Round, NodeId, Option<bool>)>,
+    round_ends: Vec<(Round, RoundMetrics)>,
+}
+
+impl Probe for Recorder {
+    fn round_start(&mut self, round: Round) {
+        self.round_starts.push(round);
+    }
+    fn corruption(&mut self, round: Round, node: NodeId, total: usize) {
+        self.corruptions.push((round, node, total));
+    }
+    fn halt(&mut self, round: Round, node: NodeId, output: Option<bool>) {
+        self.halts.push((round, node, output));
+    }
+    fn round_end(&mut self, round: Round, metrics: &RoundMetrics) {
+        self.round_ends.push((round, *metrics));
+    }
+}
+
+/// Runs to completion with a [`Recorder`], keeping the ledger's
+/// corruption history.
+fn recorded<A: Adversary<Node>>(
+    cfg: SimConfig,
+    nodes: Vec<Node>,
+    adversary: A,
+) -> (RunReport, Vec<(Round, NodeId)>, Recorder) {
+    let mut sim: Simulation<Node, A, PassThrough, NoOracle, Recorder> =
+        Simulation::with_instruments(
+            cfg,
+            nodes,
+            adversary,
+            PassThrough,
+            NoOracle,
+            Recorder::default(),
+        );
+    while sim.step() {}
+    let history = sim.ledger().history().to_vec();
+    let (report, NoOracle, probe) = sim.into_parts();
+    (report, history, probe)
 }
 
 #[test]
-fn per_round_metrics_recorded_when_enabled() {
-    let cfg = SimConfig::new(3, 0).with_round_metrics(true);
-    let report = Simulation::new(cfg, nodes(3, 3), Benign).run();
-    assert_eq!(report.metrics.per_round.len() as u64, report.rounds);
-    for rm in &report.metrics.per_round {
+fn probe_sees_round_starts_halts_and_corruptions() {
+    let cfg = SimConfig::new(4, 1).with_max_rounds(100);
+    let mut all = nodes(4, 4);
+    all[0].deadline = 2;
+    let (report, history, probe) = recorded(cfg, all, LateCorruptor);
+    let rounds: Vec<Round> = (0..report.rounds).map(Round::new).collect();
+    assert_eq!(probe.round_starts, rounds);
+    // Corruptions match the ledger's history, in order, with running
+    // totals.
+    let seen: Vec<(Round, NodeId)> = probe.corruptions.iter().map(|c| (c.0, c.1)).collect();
+    assert_eq!(seen, history);
+    assert_eq!(history, [(Round::new(2), NodeId::new(0))]);
+    let totals: Vec<usize> = probe.corruptions.iter().map(|c| c.2).collect();
+    assert_eq!(totals, (1..=history.len()).collect::<Vec<_>>());
+    // Halts match the report's halt rounds: node 0 halted (round 1)
+    // before being corrupted (round 2).
+    let mut halted: Vec<(NodeId, u64)> = probe
+        .halts
+        .iter()
+        .map(|(round, node, _)| (*node, round.index()))
+        .collect();
+    halted.sort();
+    let expected: Vec<(NodeId, u64)> = report
+        .halt_rounds
+        .iter()
+        .enumerate()
+        .filter_map(|(i, r)| r.map(|r| (NodeId::new(i as u32), r)))
+        .collect();
+    assert_eq!(halted, expected);
+    assert!(probe
+        .halts
+        .contains(&(Round::new(1), NodeId::new(0), Some(true))));
+}
+
+#[test]
+fn probe_sees_one_round_end_per_round() {
+    let cfg = SimConfig::new(3, 0);
+    let (report, _, probe) = recorded(cfg, nodes(3, 3), Benign);
+    let rounds: Vec<Round> = probe.round_ends.iter().map(|(r, _)| *r).collect();
+    assert_eq!(
+        rounds,
+        (0..report.rounds).map(Round::new).collect::<Vec<_>>()
+    );
+    for (_, rm) in &probe.round_ends {
         assert_eq!(rm.messages, 3 * 2);
         assert_eq!(rm.max_edge_bits, 2);
     }
+    let sum: usize = probe.round_ends.iter().map(|(_, rm)| rm.messages).sum();
+    assert_eq!(sum, report.metrics.total_messages);
 }
 
 #[test]

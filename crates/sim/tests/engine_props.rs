@@ -100,10 +100,7 @@ fn corrupted_nodes_are_frozen() {
         let seed = gen.next_u64();
         let ctx = format!("n={n} t={t} deadline={deadline} seed={seed} script={script:?}");
 
-        let cfg = SimConfig::new(n, t)
-            .with_seed(seed)
-            .with_max_rounds(40)
-            .with_trace(true);
+        let cfg = SimConfig::new(n, t).with_seed(seed).with_max_rounds(40);
         let mut sim = Simulation::new(cfg, probes(n, deadline), Scripted { script });
         while sim.step() {}
         // Corruption rounds, by node.
@@ -139,8 +136,18 @@ fn corrupted_nodes_are_frozen() {
     }
 }
 
-/// Metrics identity: total messages equals the sum over rounds, and
-/// every round's messages fit under n(n−1).
+/// Records each round's metrics from the probe's `round_end` hook.
+#[derive(Debug, Default)]
+struct RoundLog(Vec<RoundMetrics>);
+
+impl aba_sim::probe::Probe for RoundLog {
+    fn round_end(&mut self, _round: Round, metrics: &RoundMetrics) {
+        self.0.push(*metrics);
+    }
+}
+
+/// Metrics identity: one `round_end` per round, total messages equals
+/// the sum over rounds, and every round's messages fit under n(n−1).
 #[test]
 fn metrics_are_consistent() {
     let mut gen = SmallRng::seed_from_u64(0x3E7A);
@@ -148,14 +155,21 @@ fn metrics_are_consistent() {
         let n = gen.gen_range(1..12usize);
         let deadline = gen.gen_range(1..10u64);
         let seed = gen.next_u64();
-        let cfg = SimConfig::new(n, 0)
-            .with_seed(seed)
-            .with_round_metrics(true)
-            .with_max_rounds(32);
-        let report = Simulation::new(cfg, probes(n, deadline), aba_sim::adversary::Benign).run();
-        let sum: usize = report.metrics.per_round.iter().map(|r| r.messages).sum();
+        let cfg = SimConfig::new(n, 0).with_seed(seed).with_max_rounds(32);
+        let sim: Simulation<Probe, _, PassThrough, NoOracle, RoundLog> =
+            Simulation::with_instruments(
+                cfg,
+                probes(n, deadline),
+                aba_sim::adversary::Benign,
+                PassThrough,
+                NoOracle,
+                RoundLog::default(),
+            );
+        let (report, NoOracle, log) = sim.run_instrumented();
+        assert_eq!(log.0.len() as u64, report.rounds, "n={n} seed={seed}");
+        let sum: usize = log.0.iter().map(|r| r.messages).sum();
         assert_eq!(sum, report.metrics.total_messages, "n={n} seed={seed}");
-        for rm in &report.metrics.per_round {
+        for rm in &log.0 {
             assert!(rm.messages <= n * (n - 1), "n={n} seed={seed}");
         }
         assert!(report.all_halted);

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! aba-experiments [--exp all|e1|e2|...] [--quick] [--seed N] [--out DIR] [--list]
-//!                 [--quiet] [--verbose]
+//!                 [--quiet]
 //! ```
 
 use aba_obs::log::{self, Verbosity};
@@ -42,11 +42,10 @@ fn parse_args() -> Result<Args, String> {
             "--out" => args.out = Some(PathBuf::from(it.next().ok_or("--out needs a value")?)),
             "--list" => args.list = true,
             "--quiet" => log::set_verbosity(Verbosity::Quiet),
-            "--verbose" => log::set_verbosity(Verbosity::Verbose),
             "--help" | "-h" => {
                 println!(
                     "usage: aba-experiments [--exp all|e1..e16] [--quick] [--seed N] \
-                     [--out DIR] [--list] [--quiet] [--verbose]"
+                     [--out DIR] [--list] [--quiet]"
                 );
                 std::process::exit(0);
             }

@@ -78,9 +78,11 @@ pub struct RunOptions {
     pub profile_dir: Option<PathBuf>,
     /// In-round worker threads forwarded into every trial's engine
     /// (`0` = keep each scenario's own setting). Trial results and all
-    /// artifacts are byte-identical at any value — this only trades
-    /// wall-clock for cores on large `n`. Orthogonal to `workers`,
-    /// which parallelizes *across* trials.
+    /// artifacts are byte-identical at any value, but more threads are
+    /// not faster: on the reference 2-vCPU host `threads = 2` ran
+    /// 30–47% slower than `threads = 1` at n = 16,384 and 65,536, and
+    /// no experiment, campaign or benchmark workload sets it.
+    /// Orthogonal to `workers`, which parallelizes *across* trials.
     pub threads: usize,
 }
 
