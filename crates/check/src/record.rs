@@ -194,8 +194,7 @@ mod tests {
     #[test]
     fn snapshot_captures_all_row_shapes() {
         let mut mb = RoundMailbox::new(4);
-        mb.set(NodeId::new(0), Emission::Broadcast(Tm(1)));
-        mb.knock_out(NodeId::new(0), NodeId::new(2));
+        mb.set_broadcast_except(NodeId::new(0), Tm(1), &[2]);
         mb.insert(NodeId::new(0), NodeId::new(3), Tm(9));
         mb.set(
             NodeId::new(1),

@@ -3,8 +3,9 @@
 //!
 //! [`ProvenanceProbe`] sits on the engine's [`Probe`] seam and opts into
 //! the per-round [`ArrivalScan`] ([`Probe::WANTS_ARRIVALS`]). From the
-//! scan's frontier bitsets it maintains, **online**, three per-node
-//! closures over the happens-before relation:
+//! scan's broadcast-base bitset and per-receiver sender lists it
+//! maintains, **online**, three per-node closures over the
+//! happens-before relation:
 //!
 //! * `anc(v)` — the backward causal closure of `v`'s current state: the
 //!   set of nodes whose round-0 state can reach `v` through delivered
@@ -725,13 +726,12 @@ impl Probe for ProvenanceProbe {
             *d += s;
         }
         self.corrupted.copy_from_slice(scan.corrupted());
-        let senders = |row: &[u64]| set_bits(row).map(|s| s as u32).collect();
         let deviations = set_bits(scan.dirty())
             .map(|r| {
                 (
                     r as u32,
-                    senders(scan.knocked_row(r)),
-                    senders(scan.extra_row(r)),
+                    scan.knocked_row(r).to_vec(),
+                    scan.extra_row(r).to_vec(),
                 )
             })
             .collect();
@@ -913,6 +913,7 @@ mod tests {
         s0.reset(3);
         s0.mark_extra(1, 0);
         s0.add_recv(1, 1, 8);
+        s0.finish_base_recv();
         s0.set_corrupted(&[true, false, false]);
         p.arrivals(Round::ZERO, &s0);
         // Round 1: 1 broadcasts (honest), reaching 2.
@@ -1044,6 +1045,7 @@ mod tests {
             scan.mark_extra(r, 3);
             scan.add_recv(r, 1, 8);
         }
+        scan.finish_base_recv();
         scan.set_corrupted(&vec![false; n]);
         p.arrivals(Round::ZERO, &scan);
         let dot = p.dot_graph();

@@ -9,9 +9,8 @@
 //! (`*.timing.csv`, `*.profile.json`, `*.collapsed.txt`).
 //!
 //! Zero cost when disabled: nothing here is global or ambient. Callers
-//! construct a [`WallClock`]/[`Stopwatch`] only when profiling is
-//! requested, so a run without a profile directory performs no clock
-//! reads at all.
+//! construct a [`WallClock`] only when profiling is requested, so a run
+//! without a profile directory performs no clock reads at all.
 
 use aba_analysis::percentile_nearest_rank;
 use std::time::Instant;
@@ -48,28 +47,6 @@ impl WallClock {
 impl Default for WallClock {
     fn default() -> Self {
         WallClock::new()
-    }
-}
-
-/// A one-shot span timer.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch {
-    start: Instant,
-}
-
-impl Stopwatch {
-    /// Starts timing.
-    #[allow(clippy::disallowed_methods)] // timing channel
-    pub fn start() -> Self {
-        Stopwatch {
-            start: Instant::now(),
-        }
-    }
-
-    /// Microseconds since [`Stopwatch::start`].
-    #[allow(clippy::disallowed_methods)] // timing channel
-    pub fn elapsed_us(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
     }
 }
 
@@ -170,7 +147,5 @@ mod tests {
         let a = clock.now_ns();
         let b = clock.now_ns();
         assert!(b >= a);
-        let sw = Stopwatch::start();
-        assert!(sw.elapsed_us() <= sw.elapsed_us().max(sw.elapsed_us()));
     }
 }

@@ -4,52 +4,66 @@
 //! The provenance layer of `aba-obs` needs, once per round, the full
 //! sender → receiver arrival relation plus per-node traffic counters —
 //! but it must cost nothing when unused and never allocate per message.
-//! [`ArrivalScan`] is the answer: a pooled, non-generic bundle of u64
-//! bitsets that both message planes know how to fill in O(n + deviations)
-//! time, mirroring the broadcast-base + deviation-cell layout of the
-//! planes themselves:
+//! [`ArrivalScan`] is the answer: a pooled, non-generic summary built in
+//! one place for every plane, from the plane's own recording view
+//! ([`MessagePlane::broadcast_base`] + [`MessagePlane::deviations`]), so
+//! it mirrors the broadcast-base + deviation layout of the planes:
 //!
 //! * `base_senders` — one bit per sender that contributed a broadcast
 //!   base this round (every receiver gets it unless knocked out);
-//! * `knocked[r]` — receiver-major rows, bit `s` set when `r` does *not*
-//!   receive `s`'s base (knock-out or a per-recipient override row with
-//!   a hole);
-//! * `extra[r]` — receiver-major rows, bit `s` set when an explicit
-//!   point-to-point message `s → r` arrives (deviation cells, including
-//!   overrides of a base);
+//! * `knocked_row(r)` — the base senders whose base `r` does *not*
+//!   receive (a knock-out, or an explicit message in its place);
+//! * `extra_row(r)` — the senders of explicit point-to-point messages
+//!   `s → r` (deviation cells, including overrides of a base);
 //!
 //! so the arrival in-set of receiver `r` is
-//! `(base_senders & !knocked[r]) | extra[r]`, and a receiver with no
-//! knocked/extra words (`is_clean`) receives exactly `base_senders` —
-//! the broadcast fast path that keeps online closure near-linear.
+//! `(base_senders \ knocked(r)) ∪ extra(r)`, and a receiver with empty
+//! lists (`is_clean`) receives exactly `base_senders` — the broadcast
+//! fast path that keeps online closure near-linear.
+//!
+//! The two lists of every receiver are sorted, duplicate-free `u32`
+//! sender IDs in one pooled receiver-major buffer (the layout of the
+//! sparse plane's inbox index), so a scan holds O(n + deviations)
+//! memory whatever the traffic: a point-to-point round that dirties
+//! every receiver costs a few bytes per arrival, not two `n`-bit rows
+//! per receiver (n²/4 bytes, 64 MiB at n = 16 384).
 //!
 //! Traffic counters follow the engine's counting convention exactly
 //! (a broadcast is `n - 1` messages, the local self-copy is free, an
 //! explicit self-message counts): `sent_*` is filled from the wire
-//! plane before delivery (offered traffic, summing to
+//! plane before delivery ([`ArrivalScan::tally_offered`], summing to
 //! [`crate::metrics::RoundMetrics::messages`]/`bits`), `recv_*` from
-//! the arrivals plane after delivery (summing to the round's delivered
-//! count).
+//! the arrivals plane after delivery ([`ArrivalScan::scan_arrivals`],
+//! which leaves explicit self-messages out: they never touch the
+//! network).
 
 use crate::id::NodeId;
+use crate::message::Message;
+use crate::plane::MessagePlane;
 
-/// Number of u64 words needed for an `n`-bit set.
-#[inline]
-pub(crate) fn words_for(n: usize) -> usize {
-    n.div_ceil(64)
+/// One recorded mark: `sender` is knocked out of `receiver`'s bases, or
+/// (`extra`) reaches `receiver` with an explicit message.
+#[derive(Debug, Clone, Copy)]
+struct Mark {
+    receiver: u32,
+    sender: u32,
+    extra: bool,
 }
 
-/// Sentinel in [`ArrivalScan`]'s receiver→slot map: no row pair yet.
-const NO_SLOT: u32 = u32::MAX;
+impl Mark {
+    /// The mark's list: `2r` is receiver `r`'s knocked list, `2r + 1`
+    /// its extra list.
+    fn list(self) -> usize {
+        2 * self.receiver as usize + usize::from(self.extra)
+    }
+}
 
 /// A pooled, reusable summary of one round's arrivals and traffic.
 ///
-/// Filled by the message planes via
-/// [`MessagePlane::tally_offered`](crate::plane::MessagePlane::tally_offered)
-/// and
-/// [`MessagePlane::scan_arrivals`](crate::plane::MessagePlane::scan_arrivals),
-/// then handed by reference to [`Probe::arrivals`](crate::probe::Probe::arrivals).
-/// All storage is retained across rounds; `reset` only zeroes.
+/// Filled from the planes by [`ArrivalScan::tally_offered`] and
+/// [`ArrivalScan::scan_arrivals`], then handed by reference to
+/// [`Probe::arrivals`](crate::probe::Probe::arrivals). All storage is
+/// retained across rounds; `reset` only zeroes.
 #[derive(Debug, Default, Clone)]
 pub struct ArrivalScan {
     n: usize,
@@ -58,20 +72,14 @@ pub struct ArrivalScan {
     base_senders: Vec<u64>,
     /// Per sender: bit size of the base message (0 when none).
     base_bits: Vec<u32>,
-    /// Receiver → row-pair slot in [`Self::arena`] ([`NO_SLOT`] when the
-    /// receiver is clean). Knocked/extra rows used to be two dense
-    /// `n × words` matrices — 1 GiB combined at n = 65 536 — allocated
-    /// even when a round deviates at a handful of receivers. Rows now
-    /// materialize lazily, one pair per *dirty* receiver, so the scan
-    /// costs O(n + dirty·words) memory: exactly the shape of the sparse
-    /// plane's traffic.
-    row_slot: Vec<u32>,
-    /// Dirty receivers' row pairs, in first-touch order: slot `k` holds
-    /// the knocked row at `k·2·words`, the extra row `words` after it.
-    arena: Vec<u64>,
-    /// Shared all-zero row returned for clean receivers.
-    zero_row: Vec<u64>,
-    /// Bit `r`: receiver `r` has at least one knocked/extra bit (not clean).
+    /// Knocked/extra marks recorded since the last close, in any order.
+    marks: Vec<Mark>,
+    /// Receiver-major list bounds: list `k` (see [`Mark::list`]) is
+    /// `senders[offsets[k]..offsets[k + 1]]`.
+    offsets: Vec<u32>,
+    /// Every list's sorted, duplicate-free sender IDs, back to back.
+    senders: Vec<u32>,
+    /// Bit `r`: receiver `r` has a knocked or extra sender (not clean).
     dirty: Vec<u64>,
     /// Per sender: messages offered on the wire this round.
     sent_msgs: Vec<u32>,
@@ -92,42 +100,16 @@ impl ArrivalScan {
     }
 
     /// Empties the scan and (re)sizes it for an `n`-node network,
-    /// retaining allocations.
-    ///
-    /// When the shape is unchanged (the per-round pooled case), the
-    /// `n × words` knocked/extra pools are swept per *dirty row* rather
-    /// than wholesale — the dirty bitset records exactly which rows
-    /// carry bits, so a clean round's reset is O(n), not O(n·words).
+    /// retaining allocations. O(n).
     pub fn reset(&mut self, n: usize) {
-        let words = words_for(n);
-        if self.n == n && self.words == words {
-            for w in 0..words {
-                let mut bits = self.dirty[w];
-                while bits != 0 {
-                    let r = w * 64 + bits.trailing_zeros() as usize;
-                    self.row_slot[r] = NO_SLOT;
-                    bits &= bits - 1;
-                }
-                self.dirty[w] = 0;
-            }
-            self.arena.clear();
-            self.base_senders.fill(0);
-            self.base_bits.fill(0);
-            self.sent_msgs.fill(0);
-            self.sent_bits.fill(0);
-            self.recv_msgs.fill(0);
-            self.recv_bits.fill(0);
-            self.corrupted.fill(0);
-            return;
-        }
+        let words = n.div_ceil(64);
         self.n = n;
         self.words = words;
+        self.marks.clear();
+        self.senders.clear();
+        resize_zero(&mut self.offsets, 2 * n + 1);
         resize_zero(&mut self.base_senders, words);
         resize_zero(&mut self.base_bits, n);
-        self.row_slot.clear();
-        self.row_slot.resize(n, NO_SLOT);
-        self.arena.clear();
-        resize_zero(&mut self.zero_row, words);
         resize_zero(&mut self.dirty, words);
         resize_zero(&mut self.sent_msgs, n);
         resize_zero(&mut self.sent_bits, n);
@@ -136,34 +118,68 @@ impl ArrivalScan {
         resize_zero(&mut self.corrupted, words);
     }
 
-    /// Base arena index of receiver `r`'s row pair, materializing a
-    /// zeroed pair (and marking `r` dirty) on first touch.
-    #[inline]
-    fn ensure_rows(&mut self, r: usize) -> usize {
-        let slot = self.row_slot[r];
-        if slot != NO_SLOT {
-            return slot as usize * 2 * self.words;
-        }
-        let slot = (self.arena.len() / (2 * self.words)) as u32;
-        self.row_slot[r] = slot;
-        self.arena.resize(self.arena.len() + 2 * self.words, 0);
-        self.dirty[r / 64] |= 1 << (r % 64);
-        slot as usize * 2 * self.words
-    }
-
     /// Number of nodes this scan was sized for.
     #[inline]
     pub fn n(&self) -> usize {
         self.n
     }
 
-    /// Words per bitset row (`ceil(n / 64)`).
+    /// Words per bitset (`ceil(n / 64)`).
     #[inline]
     pub fn words(&self) -> usize {
         self.words
     }
 
-    // --- plane-side builder API -------------------------------------
+    // --- filling from a plane ---------------------------------------
+
+    /// Adds each sender's offered traffic on `wire` — the round's plane
+    /// before delivery — to the per-sender counters: one O(1)
+    /// [`MessagePlane::row_traffic`] read per sender, so the counters
+    /// sum exactly to the plane's `message_count` / `total_bits`.
+    pub fn tally_offered<M: Message, L: MessagePlane<M>>(&mut self, wire: &L) {
+        for s in 0..self.n {
+            let (msgs, bits) = wire.row_traffic(NodeId::new(s as u32));
+            self.add_sent(s, msgs as u32, bits as u64);
+        }
+    }
+
+    /// Fills the arrival relation and the per-receiver delivered
+    /// counters from `arrivals` — the round's plane after delivery —
+    /// and closes the scan ([`ArrivalScan::finish_base_recv`]). One
+    /// walk of every sender's broadcast base and deviations, in
+    /// ascending sender order: O(n²) on the dense plane, O(n²/64) words
+    /// on the packed one, O(n + deviations) on the sparse one. The
+    /// in-set of each receiver reproduces
+    /// [`MessagePlane::has_message`]; self-copies land in it (they are
+    /// real inbox entries) but not in the delivered counters — they
+    /// never touch the network.
+    pub fn scan_arrivals<M: Message, L: MessagePlane<M>>(&mut self, arrivals: &L) {
+        for s in 0..self.n {
+            let sender = NodeId::new(s as u32);
+            let base = arrivals.broadcast_base(sender);
+            if let Some(base) = base {
+                self.mark_base(s, base.bit_size() as u32);
+            }
+            for (receiver, m) in arrivals.deviations(sender) {
+                let r = receiver.index();
+                // A knock-out hides a base only where there is one; an
+                // explicit message knocks the base *and* lands as an
+                // extra with its own bit size.
+                if base.is_some() {
+                    self.mark_knocked(r, s);
+                }
+                if let Some(m) = m {
+                    self.mark_extra(r, s);
+                    if r != s {
+                        self.add_recv(r, 1, m.bit_size() as u64);
+                    }
+                }
+            }
+        }
+        self.finish_base_recv();
+    }
+
+    // --- builder API ------------------------------------------------
 
     /// Records that sender `s` contributed a broadcast base of
     /// `bits` bits.
@@ -180,35 +196,23 @@ impl ArrivalScan {
     /// subtracts the knocked bases from the per-receiver totals.
     #[inline]
     pub fn mark_knocked(&mut self, r: usize, s: usize) {
-        let base = self.ensure_rows(r);
-        self.arena[base + s / 64] |= 1 << (s % 64);
-    }
-
-    /// Word-granular [`ArrivalScan::mark_knocked`] (packed-plane path):
-    /// ORs `bits` into word `w` of `r`'s knocked row. Same
-    /// `knocked ⊆ base_senders` precondition.
-    #[inline]
-    pub fn or_knocked_word(&mut self, r: usize, w: usize, bits: u64) {
-        if bits != 0 {
-            let base = self.ensure_rows(r);
-            self.arena[base + w] |= bits;
-        }
+        self.push_mark(r, s, false);
     }
 
     /// Records an explicit point-to-point arrival `s → r`.
     #[inline]
     pub fn mark_extra(&mut self, r: usize, s: usize) {
-        let base = self.ensure_rows(r);
-        self.arena[base + self.words + s / 64] |= 1 << (s % 64);
+        self.push_mark(r, s, true);
     }
 
-    /// Word-granular [`ArrivalScan::mark_extra`] (packed-plane path).
     #[inline]
-    pub fn or_extra_word(&mut self, r: usize, w: usize, bits: u64) {
-        if bits != 0 {
-            let base = self.ensure_rows(r);
-            self.arena[base + self.words + w] |= bits;
-        }
+    fn push_mark(&mut self, r: usize, s: usize, extra: bool) {
+        debug_assert!(r < self.n && s < self.n, "mark ({s} -> {r}) out of range");
+        self.marks.push(Mark {
+            receiver: r as u32,
+            sender: s as u32,
+            extra,
+        });
     }
 
     /// Adds to sender `s`'s offered-traffic counters.
@@ -225,50 +229,85 @@ impl ArrivalScan {
         self.recv_bits[r] += bits;
     }
 
-    /// Folds the broadcast bases into the per-receiver delivered
-    /// counters, after every base/knocked mark is in: each receiver
-    /// gets every un-knocked base, its own base self-copy free — the
-    /// engine's counting convention. O(n + knocked bits): clean
-    /// receivers use the round totals directly.
+    /// Closes the scan once every base, knocked and extra mark is in:
+    /// groups the marks into each receiver's sorted, duplicate-free
+    /// sender lists, then folds the broadcast bases into the
+    /// per-receiver delivered counters — each receiver gets every
+    /// un-knocked base, its own base self-copy free (the engine's
+    /// counting convention). The per-receiver reads
+    /// ([`ArrivalScan::knocked_row`] and the queries built on it) see
+    /// the marks only after this call. O(n + marks).
     ///
-    /// Explicit arrivals are *not* folded here; planes account them
-    /// per deviation cell via [`ArrivalScan::add_recv`].
+    /// Explicit arrivals are *not* folded here; they are accounted per
+    /// deviation cell via [`ArrivalScan::add_recv`].
     pub fn finish_base_recv(&mut self) {
+        self.close_lists();
         let total_msgs: u32 = self.base_senders.iter().map(|w| w.count_ones()).sum();
-        let mut total_bits = 0u64;
-        for (w, &word) in self.base_senders.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                let s = w * 64 + bits.trailing_zeros() as usize;
-                total_bits += self.base_bits[s] as u64;
-                bits &= bits - 1;
-            }
-        }
+        // Senders without a base hold 0 bits.
+        let total_bits: u64 = self.base_bits.iter().map(|&b| u64::from(b)).sum();
         for r in 0..self.n {
             let mut msgs = total_msgs;
             let mut bits = total_bits;
             let mut own_in = self.base_senders[r / 64] & (1 << (r % 64)) != 0;
-            if !self.is_clean(r) {
-                for (w, &kw) in self.knocked_row(r).iter().enumerate() {
-                    let mut k = kw;
-                    while k != 0 {
-                        let s = w * 64 + k.trailing_zeros() as usize;
-                        msgs -= 1;
-                        bits -= self.base_bits[s] as u64;
-                        if s == r {
-                            own_in = false;
-                        }
-                        k &= k - 1;
-                    }
-                }
+            for &s in self.knocked_row(r) {
+                msgs -= 1;
+                bits -= u64::from(self.base_bits[s as usize]);
+                own_in &= s as usize != r;
             }
             if own_in {
                 msgs -= 1;
-                bits -= self.base_bits[r] as u64;
+                bits -= u64::from(self.base_bits[r]);
             }
             self.recv_msgs[r] += msgs;
             self.recv_bits[r] += bits;
         }
+    }
+
+    /// Moves the pending marks into the receiver-major lists: a counting
+    /// sort by list, two linear passes, then each list sorted and
+    /// deduplicated in place (a no-op pass for a plane's fill, whose
+    /// marks arrive in ascending sender order, each once).
+    fn close_lists(&mut self) {
+        if self.marks.is_empty() {
+            return;
+        }
+        debug_assert!(self.senders.is_empty(), "marks recorded after the close");
+        let lists = 2 * self.n;
+        for m in &self.marks {
+            self.offsets[m.list() + 1] += 1;
+        }
+        for k in 0..lists {
+            self.offsets[k + 1] += self.offsets[k];
+        }
+        self.senders.resize(self.marks.len(), 0);
+        // `offsets[k]` serves as list k's write cursor and ends at the
+        // start of k + 1; shifting by one slot restores the starts.
+        for m in &self.marks {
+            let cursor = &mut self.offsets[m.list()];
+            self.senders[*cursor as usize] = m.sender;
+            *cursor += 1;
+        }
+        self.offsets.copy_within(0..lists, 1);
+        self.offsets[0] = 0;
+        self.marks.clear();
+        let mut write = 0;
+        for k in 0..lists {
+            let (start, end) = (self.offsets[k] as usize, self.offsets[k + 1] as usize);
+            self.senders[start..end].sort_unstable();
+            self.offsets[k] = write as u32;
+            for i in start..end {
+                let s = self.senders[i];
+                if write == self.offsets[k] as usize || self.senders[write - 1] != s {
+                    self.senders[write] = s;
+                    write += 1;
+                }
+            }
+            if write > self.offsets[k] as usize {
+                self.dirty[k / 128] |= 1 << (k / 2 % 64);
+            }
+        }
+        self.offsets[lists] = write as u32;
+        self.senders.truncate(write);
     }
 
     /// Sets the corrupted-sender bitset from the ledger's flags.
@@ -297,34 +336,28 @@ impl ArrivalScan {
         self.base_bits[s]
     }
 
-    /// Receiver `r`'s knocked row (bit `s` ⇒ no base from `s`).
-    /// Clean receivers share one all-zero row.
+    /// Receiver `r`'s list `k` (0 knocked, 1 extra).
     #[inline]
-    pub fn knocked_row(&self, r: usize) -> &[u64] {
-        match self.row_slot[r] {
-            NO_SLOT => &self.zero_row,
-            slot => {
-                let base = slot as usize * 2 * self.words;
-                &self.arena[base..base + self.words]
-            }
-        }
+    fn list(&self, r: usize, k: usize) -> &[u32] {
+        debug_assert!(self.marks.is_empty(), "scan read before finish_base_recv");
+        let k = 2 * r + k;
+        &self.senders[self.offsets[k] as usize..self.offsets[k + 1] as usize]
     }
 
-    /// Receiver `r`'s explicit-arrival row (bit `s` ⇒ message `s → r`).
-    /// Clean receivers share one all-zero row.
+    /// The base senders whose base receiver `r` does not get, ascending.
     #[inline]
-    pub fn extra_row(&self, r: usize) -> &[u64] {
-        match self.row_slot[r] {
-            NO_SLOT => &self.zero_row,
-            slot => {
-                let base = slot as usize * 2 * self.words;
-                &self.arena[base + self.words..base + 2 * self.words]
-            }
-        }
+    pub fn knocked_row(&self, r: usize) -> &[u32] {
+        self.list(r, 0)
+    }
+
+    /// The senders of explicit messages to receiver `r`, ascending.
+    #[inline]
+    pub fn extra_row(&self, r: usize) -> &[u32] {
+        self.list(r, 1)
     }
 
     /// Whether `r` receives exactly the broadcast bases (no knocked or
-    /// extra bits) — the fast path for online closure.
+    /// extra senders) — the fast path for online closure.
     #[inline]
     pub fn is_clean(&self, r: usize) -> bool {
         self.dirty[r / 64] & (1 << (r % 64)) == 0
@@ -339,36 +372,24 @@ impl ArrivalScan {
     }
 
     /// Writes receiver `r`'s arrival in-set,
-    /// `(base_senders & !knocked[r]) | extra[r]`, into `out`
+    /// `(base_senders \ knocked(r)) ∪ extra(r)`, into `out`
     /// (`out.len() == words`).
     pub fn in_set(&self, r: usize, out: &mut [u64]) {
-        debug_assert_eq!(out.len(), self.words);
-        let k = self.knocked_row(r);
-        let e = self.extra_row(r);
-        for (w, o) in out.iter_mut().enumerate() {
-            *o = (self.base_senders[w] & !k[w]) | e[w];
+        out.copy_from_slice(&self.base_senders);
+        for &s in self.knocked_row(r) {
+            out[s as usize / 64] &= !(1 << (s % 64));
         }
-    }
-
-    /// Calls `f(s)` for every sender in `r`'s arrival in-set, in
-    /// ascending sender order.
-    pub fn for_each_sender(&self, r: usize, mut f: impl FnMut(NodeId)) {
-        let k = self.knocked_row(r);
-        let e = self.extra_row(r);
-        for w in 0..self.words {
-            let mut bits = (self.base_senders[w] & !k[w]) | e[w];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                f(NodeId::new((w * 64 + b) as u32));
-                bits &= bits - 1;
-            }
+        for &s in self.extra_row(r) {
+            out[s as usize / 64] |= 1 << (s % 64);
         }
     }
 
     /// Whether a message `s → r` arrives this round.
     pub fn has_message(&self, s: usize, r: usize) -> bool {
-        let (w, b) = (s / 64, 1u64 << (s % 64));
-        (self.base_senders[w] & !self.knocked_row(r)[w] | self.extra_row(r)[w]) & b != 0
+        let sender = s as u32;
+        let base = self.base_senders[s / 64] & (1 << (s % 64)) != 0;
+        (base && self.knocked_row(r).binary_search(&sender).is_err())
+            || self.extra_row(r).binary_search(&sender).is_ok()
     }
 
     /// Per-sender offered message counts (index = sender id).
@@ -425,17 +446,13 @@ mod tests {
         s.mark_base(65, 16);
         s.mark_knocked(3, 0); // 3 loses 0's base
         s.mark_extra(3, 7); // 7 -> 3 explicit
+        s.finish_base_recv();
         assert!(!s.is_clean(3));
         assert!(s.is_clean(4));
-        let mut got = Vec::new();
-        s.for_each_sender(3, |id| got.push(id.index()));
-        assert_eq!(got, vec![7, 65]);
-        let mut all = Vec::new();
-        s.for_each_sender(4, |id| all.push(id.index()));
-        assert_eq!(all, vec![0, 65]);
         assert!(s.has_message(65, 3));
         assert!(!s.has_message(0, 3));
         assert!(s.has_message(7, 3));
+        assert!(s.has_message(0, 4) && s.has_message(65, 4));
         let mut buf = vec![0u64; s.words()];
         s.in_set(3, &mut buf);
         assert_eq!(buf[0], 1 << 7);
@@ -460,9 +477,8 @@ mod tests {
         assert_eq!(s.sent_msgs(), &[0; 4]);
         assert_eq!(s.recv_bits(), &[0; 4]);
         assert!(!s.is_corrupted(0));
-        let mut any = false;
-        s.for_each_sender(0, |_| any = true);
-        assert!(!any);
+        assert!(s.extra_row(1).is_empty());
+        assert!((0..4).all(|r| !s.has_message(2, r)));
     }
 
     #[test]
@@ -497,20 +513,36 @@ mod tests {
     }
 
     #[test]
-    fn word_granular_marks_match_bit_marks() {
-        let mut a = ArrivalScan::new();
-        let mut b = ArrivalScan::new();
-        a.reset(70);
-        b.reset(70);
-        a.mark_knocked(3, 65);
-        a.mark_extra(3, 2);
-        b.or_knocked_word(3, 1, 1 << 1);
-        b.or_extra_word(3, 0, 1 << 2);
-        b.or_extra_word(5, 0, 0); // no-op: must not dirty r=5
-        assert_eq!(a.knocked_row(3), b.knocked_row(3));
-        assert_eq!(a.extra_row(3), b.extra_row(3));
-        assert!(!b.is_clean(3));
-        assert!(b.is_clean(5));
+    fn hand_built_marks_read_back_sorted_and_deduplicated() {
+        // Marks arriving out of sender order and repeated — the way the
+        // provenance naive-closure differential builds its scans — read
+        // back as the bit rows did: each list ascending, each sender
+        // once, knocked and extra kept apart, clean receivers empty.
+        let mut s = ArrivalScan::new();
+        s.reset(130);
+        for sender in [129, 64, 3, 64, 0, 129, 63] {
+            s.mark_base(sender, 8);
+            s.mark_knocked(5, sender);
+        }
+        for (r, sender) in [(5, 100), (128, 7), (5, 2), (5, 100), (128, 7), (5, 64)] {
+            s.mark_extra(r, sender);
+        }
+        s.finish_base_recv();
+        assert_eq!(s.knocked_row(5), &[0, 3, 63, 64, 129]);
+        assert_eq!(s.extra_row(5), &[2, 64, 100]);
+        assert!(s.knocked_row(128).is_empty());
+        assert_eq!(s.extra_row(128), &[7]);
+        let dirty: Vec<usize> = (0..130).filter(|&r| !s.is_clean(r)).collect();
+        assert_eq!(dirty, vec![5, 128]);
+        assert!(s.extra_row(4).is_empty() && s.knocked_row(129).is_empty());
+        // Receiver 5 gets 64 explicitly, its knocked base back only
+        // through the extra; every base reaches clean receiver 6.
+        assert!(s.has_message(64, 5) && !s.has_message(63, 5));
+        assert!([0, 3, 63, 64, 129].iter().all(|&b| s.has_message(b, 6)));
+        // Each knocked base is subtracted once: 5 keeps none of its
+        // five bases (none is its own).
+        assert_eq!(s.recv_msgs()[5], 0);
+        assert_eq!(s.recv_msgs()[6], 5);
     }
 
     #[test]

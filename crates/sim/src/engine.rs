@@ -134,19 +134,6 @@ impl RunReport {
     pub fn honest_outputs_agree(&self) -> bool {
         self.honest_outputs().windows(2).all(|w| w[0] == w[1])
     }
-
-    /// The round by which every honest node had halted, if all did.
-    pub fn completion_round(&self) -> Option<u64> {
-        if !self.all_halted {
-            return None;
-        }
-        self.halt_rounds
-            .iter()
-            .zip(&self.honest)
-            .filter(|(_, h)| **h)
-            .map(|(r, _)| *r)
-            .try_fold(0u64, |acc, r| r.map(|r| acc.max(r)))
-    }
 }
 
 /// A single simulation run binding a protocol, an adversary, a network
@@ -505,7 +492,7 @@ impl<
             // Offered traffic is read off the wire mailbox here, at the
             // same point the round's message/bit metrics are taken.
             self.arrival_scan.reset(n);
-            mailbox.tally_offered(&mut self.arrival_scan);
+            self.arrival_scan.tally_offered(&mailbox);
         }
         let (mut arrivals, delivery_stats) = self.delivery.deliver(round, mailbox, &self.ledger);
         // The arrivals are final for the round: index them for the
@@ -513,7 +500,7 @@ impl<
         arrivals.build_inbox_index();
         self.probe.phase_end(round, RoundPhase::Deliver);
         if B::WANTS_ARRIVALS {
-            arrivals.scan_arrivals(&mut self.arrival_scan);
+            self.arrival_scan.scan_arrivals(&arrivals);
             self.arrival_scan.set_corrupted(self.ledger.flags());
             self.probe.arrivals(round, &self.arrival_scan);
         }
@@ -746,7 +733,6 @@ mod tests {
         assert!(report.all_halted);
         assert_eq!(report.rounds, 1);
         assert!(report.outputs.iter().all(|o| *o == Some(true)));
-        assert_eq!(report.completion_round(), Some(0));
         // 7 broadcasts of 6 messages each.
         assert_eq!(report.metrics.total_messages, 42);
         assert_eq!(report.metrics.max_edge_bits, 8);
@@ -774,7 +760,6 @@ mod tests {
         let report = Simulation::new(cfg, vec![Forever, Forever, Forever], Benign).run();
         assert!(!report.all_halted);
         assert_eq!(report.rounds, 5);
-        assert_eq!(report.completion_round(), None);
     }
 
     /// An adversary that corrupts node 0 in round 0 and makes it

@@ -11,11 +11,11 @@
 //! # Memory layout and complexity
 //!
 //! * A pure broadcast is one `M` and a flag — no per-receiver clones,
-//!   ever. The delivery stage knocks individual receivers out of a
-//!   broadcast ([`RoundMailbox::knock_out`]), installs a pre-routed
-//!   broadcast row ([`RoundMailbox::set_broadcast_except`]), or layers a
-//!   broadcast under already-delivered messages
-//!   ([`RoundMailbox::merge_broadcast_except`]) without materializing
+//!   ever. The delivery stage installs a pre-routed broadcast row that
+//!   skips the receivers the network knocked out
+//!   ([`RoundMailbox::set_broadcast_except`]), or layers a broadcast
+//!   under already-delivered messages
+//!   ([`RoundMailbox::merge_broadcast_except`]), without materializing
 //!   `n` copies of the message.
 //! * Deviation lanes live in **one flat `n × n` cell arena** per
 //!   mailbox (`lanes[sender * n + receiver]`), allocated at most once
@@ -486,37 +486,6 @@ impl<M: Message> RoundMailbox<M> {
         self.rows[sender.index()].base.as_ref()
     }
 
-    /// Removes the single `(sender, receiver)` message, if any — used by
-    /// the delivery stage to knock one recipient out of a broadcast
-    /// without cloning the message `n` times. O(1) after the row's
-    /// one-off lane stamp; never clones a message.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or `receiver` is out of range.
-    pub fn knock_out(&mut self, sender: NodeId, receiver: NodeId) {
-        let me = sender.index();
-        let r = receiver.index();
-        if self.is_silent_row(me) {
-            return; // silent row: nothing to knock out
-        }
-        self.alloc_lanes();
-        self.edit_row(me, |row, lane, _| {
-            row.ensure_dense(lane);
-            let (counted, bits) = row.contribution(lane, me, r);
-            let removed_bits = row.effective(lane, r).map(Message::bit_size);
-            lane[r] = Cell::Knocked;
-            if counted {
-                row.count -= 1;
-                row.bits -= bits;
-            }
-            if removed_bits == Some(row.max_bits) {
-                // The removed message may have held the row maximum.
-                row.max_dirty = true;
-            }
-        });
-    }
-
     /// Whether row `me` carries nothing at all (not even a self-copy).
     fn is_silent_row(&self, me: usize) -> bool {
         let row = &self.rows[me];
@@ -698,13 +667,6 @@ impl<M: Message> RoundMailbox<M> {
         self.rows[me].effective(self.lane(me), receiver.index())
     }
 
-    /// Whether `sender` broadcast (sent one identical message to
-    /// everyone, with no knock-outs or overrides).
-    pub fn is_broadcast(&self, sender: NodeId) -> bool {
-        let row = &self.rows[sender.index()];
-        row.base.is_some() && !row.dense
-    }
-
     /// Whether `sender` sent nothing at all (to anyone, itself included).
     pub fn is_silent(&self, sender: NodeId) -> bool {
         self.is_silent_row(sender.index())
@@ -753,57 +715,11 @@ impl<M: Message> RoundMailbox<M> {
             .unwrap_or(0)
     }
 
-    /// Adds each sender's offered traffic (this plane as the *wire*
-    /// mailbox, pre-delivery) to `scan`'s per-sender counters. The
-    /// per-row counters are maintained incrementally, so this is O(n)
-    /// and sums exactly to [`RoundMailbox::message_count`] /
-    /// [`RoundMailbox::total_bits`].
-    pub(crate) fn tally_offered_into(&self, scan: &mut crate::arrivals::ArrivalScan) {
-        for (s, row) in self.rows.iter().enumerate() {
-            if row.count != 0 {
-                scan.add_sent(s, row.count as u32, row.bits as u64);
-            }
-        }
-    }
-
-    /// Fills `scan`'s arrival bitsets and per-receiver delivered
-    /// counters from this plane as the *arrivals* mailbox
-    /// (post-delivery). O(n) over rows plus one lane walk per dense
-    /// row, mirroring [`RoundMailbox::deviations`]. Self-copies land in
-    /// the arrival bitsets (they are real inbox entries) but not in the
-    /// delivered counters — they never touch the network, matching
-    /// [`RoundMailbox::message_count`] and the delivery stats.
-    pub(crate) fn scan_arrivals_into(&self, scan: &mut crate::arrivals::ArrivalScan) {
-        for (s, row) in self.rows.iter().enumerate() {
-            let has_base = if let Some(base) = &row.base {
-                scan.mark_base(s, base.bit_size() as u32);
-                true
-            } else {
-                false
-            };
-            if row.dense {
-                for (r, c) in self.lane(s).iter().enumerate() {
-                    match c {
-                        Cell::Inherit => {}
-                        Cell::Knocked => {
-                            if has_base {
-                                scan.mark_knocked(r, s);
-                            }
-                        }
-                        Cell::Msg(m) => {
-                            if has_base {
-                                scan.mark_knocked(r, s);
-                            }
-                            scan.mark_extra(r, s);
-                            if r != s {
-                                scan.add_recv(r, 1, m.bit_size() as u64);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        scan.finish_base_recv();
+    /// `sender`'s countable messages and their bits this round. O(1):
+    /// the row counters are maintained incrementally.
+    pub(crate) fn row_traffic(&self, sender: NodeId) -> (usize, usize) {
+        let row = &self.rows[sender.index()];
+        (row.count, row.bits)
     }
 }
 
@@ -1056,7 +972,6 @@ mod tests {
         for r in 0..4 {
             assert_eq!(mb.resolve(id(1), id(r)), Some(&Tm(9)));
         }
-        assert!(mb.is_broadcast(id(1)));
         assert_eq!(mb.broadcast_of(id(1)), Some(&Tm(9)));
     }
 
@@ -1081,7 +996,7 @@ mod tests {
         assert_eq!(mb.resolve(id(2), id(0)), Some(&Tm(0)));
         assert_eq!(mb.resolve(id(2), id(1)), Some(&Tm(1)));
         assert_eq!(mb.resolve(id(2), id(2)), None);
-        assert!(!mb.is_broadcast(id(2)));
+        assert_eq!(mb.broadcast_of(id(2)), None);
     }
 
     #[test]
@@ -1183,11 +1098,10 @@ mod tests {
     #[test]
     fn insert_into_broadcast_never_clones_the_base() {
         let mut mb: RoundMailbox<Counted> = RoundMailbox::new(64);
-        mb.set(id(0), Emission::Broadcast(Counted(1)));
         let before = CLONES.load(Ordering::Relaxed);
+        mb.set_broadcast_except(id(0), Counted(1), &[11]);
         mb.insert(id(0), id(7), Counted(2));
         mb.insert(id(0), id(9), Counted(3));
-        mb.knock_out(id(0), id(11));
         assert_eq!(
             CLONES.load(Ordering::Relaxed),
             before,
@@ -1199,56 +1113,18 @@ mod tests {
     }
 
     #[test]
-    fn knock_out_removes_single_broadcast_recipient() {
-        let mut mb = RoundMailbox::new(4);
-        mb.set(id(1), Emission::Broadcast(Tm(9)));
-        assert_eq!(mb.message_count(), 3);
-        mb.knock_out(id(1), id(3));
-        assert_eq!(mb.resolve(id(1), id(3)), None);
-        assert_eq!(mb.resolve(id(1), id(0)), Some(&Tm(9)));
-        assert_eq!(mb.resolve(id(1), id(1)), Some(&Tm(9)), "self-copy kept");
-        assert!(!mb.is_broadcast(id(1)), "no longer a pure broadcast");
-        assert_eq!(mb.message_count(), 2);
-        assert_eq!(mb.total_bits(), 16);
-        assert_eq!(mb.max_edge_bits(), 8, "base still crosses other edges");
-    }
-
-    #[test]
-    fn knock_out_self_copy_is_free_but_effective() {
+    fn excepted_self_copy_is_free_but_effective() {
         let mut mb = RoundMailbox::new(3);
-        mb.set(id(0), Emission::Broadcast(Tm(1)));
-        assert_eq!(mb.message_count(), 2);
-        mb.knock_out(id(0), id(0));
+        mb.set_broadcast_except(id(0), Tm(1), &[0]);
         assert_eq!(mb.resolve(id(0), id(0)), None);
         assert_eq!(mb.message_count(), 2, "self-copy was never counted");
         assert_eq!(mb.total_bits(), 16);
     }
 
     #[test]
-    fn knock_out_on_silent_and_per_recipient_rows() {
-        let mut mb = RoundMailbox::new(3);
-        mb.knock_out(id(0), id(1)); // silent row: no-op
-        assert!(mb.is_silent(id(0)));
-        assert_eq!(mb.message_count(), 0);
-        mb.set(
-            id(1),
-            Emission::PerRecipient(vec![(id(0), Tm(4)), (id(2), Tm(5))]),
-        );
-        mb.knock_out(id(1), id(2));
-        assert_eq!(mb.resolve(id(1), id(2)), None);
-        assert_eq!(mb.resolve(id(1), id(0)), Some(&Tm(4)));
-        assert_eq!(mb.message_count(), 1);
-        assert_eq!(mb.total_bits(), 8);
-        // Knocking the same pair twice is a no-op.
-        mb.knock_out(id(1), id(2));
-        assert_eq!(mb.message_count(), 1);
-    }
-
-    #[test]
-    fn knock_out_then_override_counts_once() {
+    fn excepted_then_override_counts_once() {
         let mut mb = RoundMailbox::new(4);
-        mb.set(id(0), Emission::Broadcast(Tm(1)));
-        mb.knock_out(id(0), id(2));
+        mb.set_broadcast_except(id(0), Tm(1), &[2]);
         assert_eq!(mb.message_count(), 2);
         // Overriding a knocked-out cell re-adds exactly one message.
         mb.insert(id(0), id(2), Tm(7));
@@ -1258,29 +1134,28 @@ mod tests {
     }
 
     #[test]
-    fn set_broadcast_except_matches_knock_outs() {
-        let mut a = RoundMailbox::new(5);
-        a.set(id(2), Emission::Broadcast(Tm(6)));
-        a.knock_out(id(2), id(0));
-        a.knock_out(id(2), id(4));
-        let mut b = RoundMailbox::new(5);
-        b.set_broadcast_except(id(2), Tm(6), &[0, 4]);
+    fn set_broadcast_except_skips_receivers_once() {
+        let mut mb = RoundMailbox::new(5);
+        mb.set_broadcast_except(id(2), Tm(6), &[0, 4]);
         for r in 0..5 {
-            assert_eq!(a.resolve(id(2), id(r)), b.resolve(id(2), id(r)), "r={r}");
+            let want = (r != 0 && r != 4).then_some(&Tm(6));
+            assert_eq!(mb.resolve(id(2), id(r)), want, "r={r}");
         }
-        assert_eq!(a.message_count(), b.message_count());
-        assert_eq!(a.total_bits(), b.total_bits());
+        assert_eq!(mb.resolve(id(2), id(2)), Some(&Tm(6)), "self-copy kept");
+        assert_eq!(mb.broadcast_of(id(2)), None, "not a pure broadcast");
+        assert_eq!(mb.message_count(), 2);
+        assert_eq!(mb.total_bits(), 16);
+        assert_eq!(mb.max_edge_bits(), 8, "base still crosses other edges");
         // Duplicates in `except` are tolerated.
-        let mut c = RoundMailbox::new(5);
-        c.set_broadcast_except(id(2), Tm(6), &[0, 0, 4, 4]);
-        assert_eq!(c.message_count(), b.message_count());
+        let mut dup = RoundMailbox::new(5);
+        dup.set_broadcast_except(id(2), Tm(6), &[0, 0, 4, 4]);
+        assert_eq!(dup.message_count(), 2);
     }
 
     #[test]
     fn set_broadcast_except_empty_is_pure_broadcast() {
         let mut mb = RoundMailbox::new(4);
         mb.set_broadcast_except(id(1), Tm(3), &[]);
-        assert!(mb.is_broadcast(id(1)));
         assert_eq!(mb.message_count(), 3);
         assert_eq!(mb.broadcast_of(id(1)), Some(&Tm(3)));
     }
@@ -1294,8 +1169,7 @@ mod tests {
         assert_eq!(mb.message_count(), 0);
         assert_eq!(mb.total_bits(), 0);
         // Non-pure rows refuse.
-        mb.set(id(1), Emission::Broadcast(Tm(6)));
-        mb.knock_out(id(1), id(2));
+        mb.set_broadcast_except(id(1), Tm(6), &[2]);
         assert_eq!(mb.take_broadcast(id(1)), None);
         assert_eq!(mb.take_broadcast(id(2)), None, "silent row");
     }
@@ -1345,7 +1219,7 @@ mod tests {
             Emission::PerRecipient(vec![(id(0), Var(32)), (id(2), Var(2))]),
         );
         assert_eq!(mb.max_edge_bits(), 32);
-        mb.knock_out(id(1), id(0)); // removes the 32-bit maximum
+        mb.insert(id(1), id(0), Var(2)); // replaces the 32-bit maximum
         assert_eq!(mb.max_edge_bits(), 4);
         mb.silence(id(0));
         assert_eq!(mb.max_edge_bits(), 2);

@@ -29,9 +29,9 @@
 //!   nothing.
 //!
 //! The plane reproduces the dense mailbox's observable semantics
-//! exactly — counting convention, replace/merge/knock-out rules, inbox
-//! order — which `crates/sim/tests/packed_differential.rs` enforces
-//! over the whole mutation surface.
+//! exactly — counting convention, replace/merge rules, inbox order —
+//! which `crates/sim/tests/packed_differential.rs` enforces over the
+//! whole mutation surface.
 //!
 //! # Codec contract
 //!
@@ -598,62 +598,6 @@ impl<M: PackedMessage> PackedMailbox<M> {
         }
         installed
     }
-
-    /// Adds each sender's offered traffic (this plane as the *wire*
-    /// mailbox, pre-delivery) to `scan`'s per-sender counters. O(n);
-    /// sums exactly to the plane's `message_count` / `total_bits`.
-    pub(crate) fn tally_offered_into(&self, scan: &mut crate::arrivals::ArrivalScan) {
-        for s in 0..self.n {
-            if self.row_count[s] != 0 {
-                scan.add_sent(s, self.row_count[s] as u32, self.row_bits[s] as u64);
-            }
-        }
-    }
-
-    /// Fills `scan`'s arrival bitsets and per-receiver delivered
-    /// counters from this plane as the *arrivals* mailbox
-    /// (post-delivery). Word-parallel: the column-mirrored deviation
-    /// lanes OR straight into the scan's receiver rows, so the cost is
-    /// O(n·words) word ops plus one decode per explicit cell.
-    pub(crate) fn scan_arrivals_into(&self, scan: &mut crate::arrivals::ArrivalScan) {
-        for (w, &word) in self.base_mask.iter().enumerate() {
-            let mut b = word;
-            while b != 0 {
-                let s = w * 64 + b.trailing_zeros() as usize;
-                let bs = self.base[s].as_ref().map_or(0, Message::bit_size);
-                scan.mark_base(s, bs as u32);
-                b &= b - 1;
-            }
-        }
-        if !self.col_dev.is_empty() {
-            for r in 0..self.n {
-                for w in 0..self.words {
-                    // Knocked bits only matter where a base exists;
-                    // explicit cells (has ⊆ dev) knock the base *and*
-                    // land as extras with their own bit size.
-                    scan.or_knocked_word(
-                        r,
-                        w,
-                        self.col_dev[r * self.words + w] & self.base_mask[w],
-                    );
-                    let ex = self.col_has[r * self.words + w];
-                    scan.or_extra_word(r, w, ex);
-                    let mut e = ex;
-                    while e != 0 {
-                        let s = w * 64 + e.trailing_zeros() as usize;
-                        // Self-copies never touch the network: in the
-                        // bitsets, out of the delivered counters.
-                        if s != r {
-                            let bs = Self::bit_size_of_code(self.codes[s][r]);
-                            scan.add_recv(r, 1, bs as u64);
-                        }
-                        e &= e - 1;
-                    }
-                }
-            }
-        }
-        scan.finish_base_recv();
-    }
 }
 
 impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
@@ -932,33 +876,6 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
         taken
     }
 
-    fn knock_out(&mut self, sender: NodeId, receiver: NodeId) {
-        let me = sender.index();
-        let r = receiver.index();
-        if self.is_silent_row(me) {
-            return; // silent row: nothing to knock out
-        }
-        let old_max = self.begin_edit(me);
-        self.ensure_dense(me);
-        let (counted, bits) = self.contribution(me, r);
-        let removed_bits = match self.cell_state(me, r) {
-            CellState::Inherit => self.base[me].as_ref().map(Message::bit_size),
-            CellState::Knocked => None,
-            CellState::Code(c) => Some(Self::bit_size_of_code(c)),
-        };
-        self.set_dev(me, r, true);
-        self.set_has(me, r, false);
-        if counted {
-            self.row_count[me] -= 1;
-            self.row_bits[me] -= bits;
-        }
-        if removed_bits == Some(self.row_max[me]) {
-            // The removed message may have held the row maximum.
-            self.row_max_dirty[me] = true;
-        }
-        self.end_edit(me, old_max);
-    }
-
     fn broadcast_base(&self, sender: NodeId) -> Option<&M> {
         self.base[sender.index()].as_ref()
     }
@@ -985,11 +902,6 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
     fn has_message(&self, sender: NodeId, receiver: NodeId) -> bool {
         self.effective_code(sender.index(), receiver.index())
             .is_some()
-    }
-
-    fn is_broadcast(&self, sender: NodeId) -> bool {
-        let me = sender.index();
-        self.base[me].is_some() && !self.dense[me]
     }
 
     fn is_silent(&self, sender: NodeId) -> bool {
@@ -1045,12 +957,9 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
             .unwrap_or(0)
     }
 
-    fn tally_offered(&self, scan: &mut crate::arrivals::ArrivalScan) {
-        self.tally_offered_into(scan);
-    }
-
-    fn scan_arrivals(&self, scan: &mut crate::arrivals::ArrivalScan) {
-        self.scan_arrivals_into(scan);
+    fn row_traffic(&self, sender: NodeId) -> (usize, usize) {
+        let me = sender.index();
+        (self.row_count[me], self.row_bits[me])
     }
 }
 
@@ -1096,10 +1005,9 @@ mod tests {
     }
 
     #[test]
-    fn knock_out_and_overrides_update_counts_and_tallies() {
+    fn excepted_receivers_and_overrides_update_counts_and_tallies() {
         let mut p = PackedMailbox::<Tm>::new(5);
-        MessagePlane::set(&mut p, id(0), Emission::Broadcast(Tm(1)));
-        MessagePlane::knock_out(&mut p, id(0), id(2));
+        MessagePlane::set_broadcast_except(&mut p, id(0), Tm(1), &[2]);
         assert_eq!(MessagePlane::message_count(&p), 3);
         assert!(!MessagePlane::has_message(&p, id(0), id(2)));
         MessagePlane::insert(&mut p, id(0), id(3), Tm(9));
@@ -1131,8 +1039,7 @@ mod tests {
     #[test]
     fn reset_pools_allocations_and_clears_state() {
         let mut p = PackedMailbox::<Tm>::new(4);
-        MessagePlane::set(&mut p, id(1), Emission::Broadcast(Tm(1)));
-        MessagePlane::knock_out(&mut p, id(1), id(2));
+        MessagePlane::set_broadcast_except(&mut p, id(1), Tm(1), &[2]);
         MessagePlane::reset(&mut p, 4);
         assert_eq!(MessagePlane::message_count(&p), 0);
         assert!(MessagePlane::is_silent(&p, id(1)));
@@ -1171,8 +1078,7 @@ mod tests {
         MessagePlane::set(&mut p, id(0), Emission::Broadcast(Tm(5)));
         assert_eq!(MessagePlane::take_broadcast(&mut p, id(0)), Some(Tm(5)));
         assert!(MessagePlane::is_silent(&p, id(0)));
-        MessagePlane::set(&mut p, id(1), Emission::Broadcast(Tm(6)));
-        MessagePlane::knock_out(&mut p, id(1), id(2));
+        MessagePlane::set_broadcast_except(&mut p, id(1), Tm(6), &[2]);
         assert_eq!(MessagePlane::take_broadcast(&mut p, id(1)), None);
     }
 }

@@ -27,12 +27,20 @@
 //! Every implementation must reproduce the dense mailbox's observable
 //! behaviour exactly — same counting convention (a broadcast is `n - 1`
 //! messages, the local self-copy is free, an explicit self-message
-//! counts), same replace/merge/knock-out rules, same inbox contents in
-//! the same sender order. The packed-vs-dense differential test drives
-//! both planes through this whole surface and compares every observable
-//! after every mutation.
+//! counts), same replace/merge rules, same inbox contents in the same
+//! sender order. The packed-vs-dense and sparse-vs-dense differential
+//! tests drive the planes through this whole surface and compare every
+//! observable after every mutation.
+//!
+//! A plane knows nothing of the probes: the provenance seam's arrival
+//! scan ([`crate::arrivals`]) is built for every plane in one place,
+//! from [`MessagePlane::row_traffic`] on the wire and from
+//! [`MessagePlane::broadcast_base`] + [`MessagePlane::deviations`] on the
+//! arrivals — the same recording view the trace recorder reads. The
+//! three plane differentials check that scan against
+//! [`MessagePlane::has_message`] and the plane's counters after every
+//! step.
 
-use crate::arrivals::ArrivalScan;
 use crate::id::NodeId;
 use crate::mailbox::{Inbox, RoundMailbox};
 use crate::message::{Emission, Message};
@@ -96,9 +104,6 @@ pub trait MessagePlane<M: Message>: Default {
     /// the row silent; `None` for any other row shape.
     fn take_broadcast(&mut self, sender: NodeId) -> Option<M>;
 
-    /// Removes the single `(sender, receiver)` message, if any.
-    fn knock_out(&mut self, sender: NodeId, receiver: NodeId);
-
     /// The row's shared broadcast base, if any — present even when
     /// receivers have been knocked out or overridden.
     fn broadcast_base(&self, sender: NodeId) -> Option<&M>;
@@ -113,9 +118,6 @@ pub trait MessagePlane<M: Message>: Default {
     /// Whether `receiver` gets a message from `sender` this round.
     fn has_message(&self, sender: NodeId, receiver: NodeId) -> bool;
 
-    /// Whether `sender` purely broadcast.
-    fn is_broadcast(&self, sender: NodeId) -> bool;
-
     /// Whether `sender` sent nothing at all (to anyone, itself
     /// included).
     fn is_silent(&self, sender: NodeId) -> bool;
@@ -125,11 +127,11 @@ pub trait MessagePlane<M: Message>: Default {
     /// `(receiver, Some(m))` for an explicit message. Yields nothing for
     /// silent and pure-broadcast rows. With
     /// [`MessagePlane::broadcast_base`] this reproduces every
-    /// [`MessagePlane::resolve_value`] without expanding a broadcast.
-    /// Walking every sender costs no more than
-    /// [`MessagePlane::scan_arrivals`]: O(n²) on the dense plane,
-    /// O(n²/64) words on the packed one, O(n + deviations) on the
-    /// sparse one.
+    /// [`MessagePlane::resolve_value`] without expanding a broadcast —
+    /// the recording view that the trace recorder and the arrival scan
+    /// ([`crate::arrivals`]) read. Walking
+    /// every sender costs O(n²) on the dense plane, O(n²/64) words on
+    /// the packed one and O(n + deviations) on the sparse one.
     fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<M>)> + '_;
 
     /// Prepares the plane for inbox reads once the round's last
@@ -156,19 +158,11 @@ pub trait MessagePlane<M: Message>: Default {
     /// The largest message crossing any single edge this round.
     fn max_edge_bits(&self) -> usize;
 
-    /// Adds each sender's offered traffic to `scan`'s per-sender
-    /// counters (this plane as the *wire* mailbox, pre-delivery).
-    /// Per-sender sums must equal [`MessagePlane::message_count`] /
-    /// [`MessagePlane::total_bits`] exactly.
-    fn tally_offered(&self, scan: &mut ArrivalScan);
-
-    /// Fills `scan`'s arrival bitsets and per-receiver delivered
-    /// counters (this plane as the *arrivals* mailbox, post-delivery).
-    /// The in-set of each receiver must reproduce
-    /// [`MessagePlane::has_message`], and per-receiver counter sums
-    /// must equal the plane's `message_count` / `total_bits` under the
-    /// engine's counting convention.
-    fn scan_arrivals(&self, scan: &mut ArrivalScan);
+    /// `sender`'s countable messages and their bits this round, under
+    /// the counting convention: an O(1) read of the row counters behind
+    /// [`MessagePlane::message_count`] / [`MessagePlane::total_bits`],
+    /// which the per-sender values sum to exactly.
+    fn row_traffic(&self, sender: NodeId) -> (usize, usize);
 }
 
 impl<M: Message> MessagePlane<M> for RoundMailbox<M> {
@@ -218,10 +212,6 @@ impl<M: Message> MessagePlane<M> for RoundMailbox<M> {
         RoundMailbox::take_broadcast(self, sender)
     }
 
-    fn knock_out(&mut self, sender: NodeId, receiver: NodeId) {
-        RoundMailbox::knock_out(self, sender, receiver);
-    }
-
     fn broadcast_base(&self, sender: NodeId) -> Option<&M> {
         RoundMailbox::broadcast_base(self, sender)
     }
@@ -236,10 +226,6 @@ impl<M: Message> MessagePlane<M> for RoundMailbox<M> {
 
     fn has_message(&self, sender: NodeId, receiver: NodeId) -> bool {
         self.resolve(sender, receiver).is_some()
-    }
-
-    fn is_broadcast(&self, sender: NodeId) -> bool {
-        RoundMailbox::is_broadcast(self, sender)
     }
 
     fn is_silent(&self, sender: NodeId) -> bool {
@@ -266,12 +252,8 @@ impl<M: Message> MessagePlane<M> for RoundMailbox<M> {
         RoundMailbox::max_edge_bits(self)
     }
 
-    fn tally_offered(&self, scan: &mut ArrivalScan) {
-        self.tally_offered_into(scan);
-    }
-
-    fn scan_arrivals(&self, scan: &mut ArrivalScan) {
-        self.scan_arrivals_into(scan);
+    fn row_traffic(&self, sender: NodeId) -> (usize, usize) {
+        RoundMailbox::row_traffic(self, sender)
     }
 }
 
@@ -294,12 +276,13 @@ mod tests {
     fn dense_plane_forwards_to_inherent_api() {
         fn drive<L: MessagePlane<Tm>>(plane: &mut L) -> (usize, usize, usize, bool) {
             plane.reset(4);
-            plane.set(NodeId::new(0), Emission::Broadcast(Tm(7)));
+            plane.set_broadcast_except(NodeId::new(0), Tm(7), &[3]);
             plane.set(
                 NodeId::new(1),
                 Emission::PerRecipient(vec![(NodeId::new(2), Tm(9))]),
             );
-            plane.knock_out(NodeId::new(0), NodeId::new(3));
+            assert_eq!(plane.row_traffic(NodeId::new(0)), (2, 16));
+            assert_eq!(plane.row_traffic(NodeId::new(1)), (1, 8));
             assert_eq!(
                 plane.resolve_value(NodeId::new(0), NodeId::new(1)),
                 Some(Tm(7))

@@ -67,8 +67,8 @@
 //! # Semantics contract
 //!
 //! Every observable — counters, dirty-flag behaviour of
-//! [`max_edge_bits`](SparseMailbox::max_edge_bits), replace/merge/
-//! knock-out rules, inbox order, arrival scans — reproduces the dense
+//! [`max_edge_bits`](SparseMailbox::max_edge_bits), replace/merge
+//! rules, inbox order, the recording view — reproduces the dense
 //! mailbox exactly, including its counting convention (a broadcast is
 //! `n − 1` messages, the local self-copy is free, an explicit
 //! self-message counts). The `sparse_differential` integration test
@@ -81,7 +81,6 @@
 //! the persistent dirty flag reproduces the dense plane's observable
 //! `max_edge_bits` stream bit-for-bit.
 
-use crate::arrivals::ArrivalScan;
 use crate::id::NodeId;
 use crate::mailbox::Inbox;
 use crate::message::{Emission, Message};
@@ -676,36 +675,6 @@ impl<M: Message> SparseMailbox<M> {
         self.end_edit(me, old_max);
     }
 
-    /// Removes the single `(sender, receiver)` message, if any.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or `receiver` is out of range.
-    pub fn knock_out(&mut self, sender: NodeId, receiver: NodeId) {
-        let me = sender.index();
-        let r = receiver.raw();
-        assert!((r as usize) < self.n, "receiver out of range");
-        if self.is_silent_row(me) {
-            return; // silent row: nothing to knock out
-        }
-        let old_max = self.begin_edit(me);
-        self.rows[me].deviated = true;
-        let row = &self.rows[me];
-        let (counted, bits) = row.contribution(&self.arena, me as u32, r);
-        let removed_bits = row.effective(&self.arena, r).map(Message::bit_size);
-        self.put_dev(me, r, SparseCell::Knocked);
-        let row = &mut self.rows[me];
-        if counted {
-            row.count -= 1;
-            row.bits -= bits;
-        }
-        if removed_bits == Some(row.max_bits) {
-            // The removed message may have held the row maximum.
-            row.max_dirty = true;
-        }
-        self.end_edit(me, old_max);
-    }
-
     /// Whether row `me` carries nothing at all (not even a self-copy).
     fn is_silent_row(&self, me: usize) -> bool {
         let row = &self.rows[me];
@@ -836,13 +805,6 @@ impl<M: Message> SparseMailbox<M> {
         } else {
             row.base.as_ref()
         }
-    }
-
-    /// Whether `sender` broadcast (sent one identical message to
-    /// everyone, with no knock-outs or overrides).
-    pub fn is_broadcast(&self, sender: NodeId) -> bool {
-        let row = &self.rows[sender.index()];
-        row.base.is_some() && !row.deviated
     }
 
     /// Whether `sender` sent nothing at all (to anyone, itself
@@ -983,52 +945,6 @@ impl<M: Message> SparseMailbox<M> {
             .max()
             .unwrap_or(0)
     }
-
-    /// Adds each sender's offered traffic to `scan`'s per-sender
-    /// counters (this plane as the *wire* mailbox, pre-delivery).
-    pub(crate) fn tally_offered_into(&self, scan: &mut ArrivalScan) {
-        for (s, row) in self.rows.iter().enumerate() {
-            if row.count != 0 {
-                scan.add_sent(s, row.count as u32, row.bits as u64);
-            }
-        }
-    }
-
-    /// Fills `scan`'s arrival bitsets and per-receiver delivered
-    /// counters (this plane as the *arrivals* mailbox, post-delivery),
-    /// mirroring the dense walk — O(n + Σ deviations), never O(n²).
-    pub(crate) fn scan_arrivals_into(&self, scan: &mut ArrivalScan) {
-        for (s, row) in self.rows.iter().enumerate() {
-            let has_base = if let Some(base) = &row.base {
-                scan.mark_base(s, base.bit_size() as u32);
-                true
-            } else {
-                false
-            };
-            if row.deviated {
-                for slot in row.cells(&self.arena) {
-                    let r = slot.receiver as usize;
-                    match &slot.cell {
-                        SparseCell::Knocked => {
-                            if has_base {
-                                scan.mark_knocked(r, s);
-                            }
-                        }
-                        SparseCell::Msg(m) => {
-                            if has_base {
-                                scan.mark_knocked(r, s);
-                            }
-                            scan.mark_extra(r, s);
-                            if r != s {
-                                scan.add_recv(r, 1, m.bit_size() as u64);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        scan.finish_base_recv();
-    }
 }
 
 /// Sorted-merge iterator over one receiver's sparse inbox: advances a
@@ -1149,10 +1065,6 @@ impl<M: Message> MessagePlane<M> for SparseMailbox<M> {
         SparseMailbox::take_broadcast(self, sender)
     }
 
-    fn knock_out(&mut self, sender: NodeId, receiver: NodeId) {
-        SparseMailbox::knock_out(self, sender, receiver);
-    }
-
     fn broadcast_base(&self, sender: NodeId) -> Option<&M> {
         SparseMailbox::broadcast_base(self, sender)
     }
@@ -1167,10 +1079,6 @@ impl<M: Message> MessagePlane<M> for SparseMailbox<M> {
 
     fn has_message(&self, sender: NodeId, receiver: NodeId) -> bool {
         self.resolve(sender, receiver).is_some()
-    }
-
-    fn is_broadcast(&self, sender: NodeId) -> bool {
-        SparseMailbox::is_broadcast(self, sender)
     }
 
     fn is_silent(&self, sender: NodeId) -> bool {
@@ -1213,12 +1121,9 @@ impl<M: Message> MessagePlane<M> for SparseMailbox<M> {
         SparseMailbox::max_edge_bits(self)
     }
 
-    fn tally_offered(&self, scan: &mut ArrivalScan) {
-        self.tally_offered_into(scan);
-    }
-
-    fn scan_arrivals(&self, scan: &mut ArrivalScan) {
-        self.scan_arrivals_into(scan);
+    fn row_traffic(&self, sender: NodeId) -> (usize, usize) {
+        let row = &self.rows[sender.index()];
+        (row.count, row.bits)
     }
 }
 
@@ -1254,7 +1159,6 @@ mod tests {
         assert_eq!(mb.message_count(), 3);
         assert_eq!(mb.total_bits(), 24);
         assert_eq!(mb.max_edge_bits(), 8);
-        assert!(mb.is_broadcast(id(0)));
         assert_eq!(mb.broadcast_of(id(0)), Some(&Tm(7)));
         for r in 0..4 {
             assert_eq!(mb.resolve(id(0), id(r)), Some(&Tm(7)));
@@ -1262,12 +1166,12 @@ mod tests {
     }
 
     #[test]
-    fn knock_out_and_inbox_order() {
+    fn excepted_receiver_and_inbox_order() {
         let mut mb = SparseMailbox::new(5);
         mb.set(id(0), Emission::Broadcast(Tm(1)));
         mb.set(id(3), Emission::Broadcast(Tm(3)));
         mb.insert(id(1), id(2), Tm(9));
-        mb.knock_out(id(0), id(2));
+        mb.set_broadcast_except(id(0), Tm(1), &[2]);
         mb.build_inbox_index();
         let inbox: Vec<_> = mb
             .inbox(id(2))
@@ -1275,7 +1179,7 @@ mod tests {
             .map(|(s, m)| (s.raw(), m.clone()))
             .collect();
         assert_eq!(inbox, vec![(1, Tm(9)), (3, Tm(3))]);
-        assert!(!mb.is_broadcast(id(0)), "knocked row is impure");
+        assert_eq!(mb.broadcast_of(id(0)), None, "knocked row is impure");
         assert!(mb.broadcast_base(id(0)).is_some());
         assert_eq!(mb.message_count(), 4 + 4 + 1 - 1);
     }
@@ -1310,9 +1214,11 @@ mod tests {
         mb.insert(id(0), id(1), Var(32));
         mb.insert(id(1), id(2), Var(8));
         assert_eq!(mb.max_edge_bits(), 32);
-        mb.knock_out(id(0), id(1));
+        mb.insert(id(0), id(1), Var(2)); // replaces the 32-bit maximum
         assert_eq!(mb.max_edge_bits(), 8);
         mb.silence(id(1));
+        assert_eq!(mb.max_edge_bits(), 2);
+        mb.silence(id(0));
         assert_eq!(mb.max_edge_bits(), 0);
     }
 
@@ -1333,11 +1239,10 @@ mod tests {
         let mut mb = SparseMailbox::new(6);
         mb.insert(id(0), id(4), Tm(9));
         mb.insert(id(0), id(1), Tm(8));
-        mb.knock_out(id(0), id(2));
         let mut conflicts = Vec::new();
-        mb.merge_broadcast_except(id(0), Tm(1), &[4], &mut conflicts);
+        mb.merge_broadcast_except(id(0), Tm(1), &[2, 4], &mut conflicts);
         // 1 conflicts (kept message), 4 is knocked in except so its kept
-        // message is not reported, 2 stays knocked.
+        // message is not reported, 2 is knocked.
         assert_eq!(conflicts, vec![1]);
         assert_eq!(mb.resolve(id(0), id(1)), Some(&Tm(8)));
         assert!(mb.resolve(id(0), id(2)).is_none());
@@ -1353,8 +1258,7 @@ mod tests {
     fn take_broadcast_only_pure() {
         let mut mb = SparseMailbox::new(4);
         mb.set(id(0), Emission::Broadcast(Tm(7)));
-        mb.set(id(1), Emission::Broadcast(Tm(8)));
-        mb.knock_out(id(1), id(2));
+        mb.set_broadcast_except(id(1), Tm(8), &[2]);
         assert_eq!(mb.take_broadcast(id(0)), Some(Tm(7)));
         assert!(mb.is_silent(id(0)));
         assert_eq!(mb.take_broadcast(id(1)), None, "impure row");
@@ -1370,7 +1274,7 @@ mod tests {
             Some(Tm(9)),
             "pure broadcast occupies every pair"
         );
-        mb.knock_out(id(0), id(2));
+        mb.set_broadcast_except(id(0), Tm(7), &[2]);
         assert_eq!(
             mb.insert_if_vacant(id(0), id(2), Tm(9)),
             None,
@@ -1410,9 +1314,8 @@ mod tests {
         // to build instantly.
         let n = 65_536;
         let mut mb = SparseMailbox::new(n);
-        mb.set(id(7), Emission::Broadcast(Tm(1)));
+        mb.set_broadcast_except(id(7), Tm(1), &[100]);
         mb.insert(id(3), id(9), Tm(2));
-        mb.knock_out(id(7), id(100));
         assert_eq!(mb.message_count(), (n - 1) + 1 - 1);
         mb.build_inbox_index();
         assert_eq!(mb.inbox(id(9)).len(), 2);
@@ -1424,12 +1327,13 @@ mod tests {
         // Same drive as plane.rs's dense_plane_forwards_to_inherent_api.
         fn drive<L: MessagePlane<Tm>>(plane: &mut L) -> (usize, usize, usize, bool) {
             plane.reset(4);
-            plane.set(NodeId::new(0), Emission::Broadcast(Tm(7)));
+            plane.set_broadcast_except(NodeId::new(0), Tm(7), &[3]);
             plane.set(
                 NodeId::new(1),
                 Emission::PerRecipient(vec![(NodeId::new(2), Tm(9))]),
             );
-            plane.knock_out(NodeId::new(0), NodeId::new(3));
+            assert_eq!(plane.row_traffic(NodeId::new(0)), (2, 16));
+            assert_eq!(plane.row_traffic(NodeId::new(1)), (1, 8));
             (
                 plane.message_count(),
                 plane.total_bits(),
@@ -1498,7 +1402,7 @@ mod tests {
         mb.insert(id(0), id(1), Tm(1));
         mb.build_inbox_index();
         assert_eq!(mb.inbox(id(1)).len(), 1);
-        mb.knock_out(id(0), id(1));
+        mb.insert(id(0), id(1), Tm(2));
         let _ = mb.inbox(id(1)).len();
     }
 }

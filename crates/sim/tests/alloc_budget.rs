@@ -3,12 +3,13 @@
 //! The 65 536-node campaigns only work if nothing in the per-round loop
 //! — planes, arrival scans, metrics — allocates quadratically in `n` or
 //! linearly per message. This test wraps the global allocator in a
-//! counter and pins two budgets:
+//! counter and pins these budgets:
 //!
-//! * an [`ArrivalScan`] sized for n = 65 536 with a sparse deviation set
-//!   must stay tens of megabytes under the old dense `n × words`
-//!   knocked/extra matrices (1 GiB combined at that size), and a pooled
-//!   re-reset must allocate almost nothing;
+//! * the [`ArrivalScan`] of a point-to-point round at n = 16 384, in
+//!   which every receiver is dirty, built from the sparse plane as the
+//!   engine builds it, must allocate under 4 MiB — O(n + arrivals), where
+//!   a pair of `n`-bit rows per dirty receiver took 64 MiB — and a pooled
+//!   same-shape refill must allocate almost nothing;
 //! * a point-to-point run on the sparse plane at n = 8 192 must
 //!   allocate O(messages) total, not O(n²) per round;
 //! * a pooled [`SparseMailbox`] at n = 65 536 driven through one whole
@@ -150,35 +151,37 @@ fn sampled_emissions(n: u32) -> Vec<Emission<Ping>> {
 // sequentially on one thread to keep their deltas honest.
 #[test]
 fn allocation_budgets_hold_at_large_n() {
-    // --- ArrivalScan at n = 65 536 -----------------------------------
-    let n = 65_536;
+    // --- ArrivalScan of a point-to-point round at n = 16 384 ---------
+    let n = 16_384u32;
+    let mut plane: SparseMailbox<Ping> = SparseMailbox::new(n as usize);
+    for (s, e) in sampled_emissions(n).into_iter().enumerate() {
+        plane.set(NodeId::new(s as u32), e);
+    }
     let mut scan = ArrivalScan::new();
-    let (bytes, _, ()) = measure(|| {
-        scan.reset(n);
-        for r in 0..1_000 {
-            scan.mark_extra(r * 17 % n, r);
-            scan.mark_knocked(r * 31 % n, r);
-        }
-    });
-    // Fixed state is O(n) (~5 MB) plus ~2 000 pooled 2·words rows
-    // (~16 KiB each); the old dense knocked/extra matrices alone were
-    // 1 GiB. Anything quadratic blows this budget by an order of
-    // magnitude.
+    let fill = |scan: &mut ArrivalScan| {
+        scan.reset(n as usize);
+        scan.tally_offered(&plane);
+        scan.scan_arrivals(&plane);
+    };
+    let (bytes, _, ()) = measure(|| fill(&mut scan));
+    println!("point-to-point ArrivalScan at n = 16 384: {bytes} bytes");
     assert!(
-        bytes < 128 << 20,
-        "ArrivalScan at n=65536 allocated {bytes} bytes — quadratic scratch is back"
+        (0..n as usize).all(|r| !scan.is_clean(r)),
+        "every receiver must be dirty"
+    );
+    // O(n) counters and list bounds plus a few bytes per arrival
+    // (~1.4 MiB); one pair of n-bit rows per dirty receiver took 64 MiB.
+    assert!(
+        bytes < 4 << 20,
+        "ArrivalScan of a point-to-point round at n=16384 allocated {bytes} bytes"
     );
 
-    // A pooled same-shape reset must reuse everything.
-    let (bytes, _, ()) = measure(|| {
-        scan.reset(n);
-        for r in 0..1_000 {
-            scan.mark_extra(r * 17 % n, r);
-        }
-    });
+    // A pooled same-shape refill must reuse everything.
+    let (bytes, _, ()) = measure(|| fill(&mut scan));
+    println!("pooled refill: {bytes} bytes");
     assert!(
         bytes < 1 << 20,
-        "pooled ArrivalScan reset allocated {bytes} bytes — row pool not reused"
+        "pooled ArrivalScan refill allocated {bytes} bytes — buffers not reused"
     );
 
     // --- sparse-plane steady state at n = 8 192 ----------------------

@@ -6,13 +6,20 @@
 //! shares broadcast bases, stamps deviation lanes in a flat arena, and
 //! maintains counters incrementally. Seeded interleavings of the whole
 //! public mutation API (`set` broadcast / per-recipient / silent,
-//! `silence`, `insert`, `knock_out`, `set_broadcast_except`,
-//! `take_broadcast`, `insert_if_vacant`) are replayed against both, each
-//! followed by an `insert_group_if_vacant` — the flight queue's drain
-//! primitive — on a random row, and every observable is compared after
-//! each step, across n ∈ {1, 2, 17, 64}. (No proptest in this offline
-//! workspace — cases are drawn from a fixed-seed generator, so every run
-//! checks the identical sample.)
+//! `silence`, `insert`, `set_broadcast_except`, `take_broadcast`,
+//! `insert_if_vacant`) are replayed against both, each followed by an
+//! `insert_group_if_vacant` — the flight queue's drain primitive — on a
+//! random row, and every observable is compared after each step, across
+//! n ∈ {1, 2, 17, 64}. (No proptest in this offline workspace — cases
+//! are drawn from a fixed-seed generator, so every run checks the
+//! identical sample.)
+//!
+//! After every step the mailbox's [`ArrivalScan`](aba_sim::ArrivalScan)
+//! is built as the engine builds it and checked against the mailbox
+//! (the contract in `common/mod.rs`) and against the reference: its
+//! delivered counters sum to every arrival except self-copies.
+
+mod common;
 
 use aba_sim::{Emission, Message, NodeId, RoundMailbox};
 use rand::rngs::SmallRng;
@@ -74,15 +81,6 @@ impl Reference {
 
     fn insert(&mut self, s: usize, r: usize, m: Tm) {
         self.grid[s][r] = Some(m);
-        self.pure_broadcast[s] = false;
-    }
-
-    fn knock_out(&mut self, s: usize, r: usize) {
-        // A fully silent row ignores knock-outs (matches the mailbox).
-        if self.grid[s].iter().all(Option::is_none) {
-            return;
-        }
-        self.grid[s][r] = None;
         self.pure_broadcast[s] = false;
     }
 
@@ -204,8 +202,9 @@ fn random_op(gen: &mut SmallRng, mb: &mut RoundMailbox<Tm>, rf: &mut Reference, 
             mb.insert(NodeId::new(s), NodeId::new(r), msg);
         }
         4 => {
-            rf.knock_out(s as usize, r as usize);
-            mb.knock_out(NodeId::new(s), NodeId::new(r));
+            // A broadcast that skips a single receiver.
+            rf.set_broadcast_except(s as usize, base_msg.clone(), &[r]);
+            mb.set_broadcast_except(NodeId::new(s), base_msg, &[r]);
         }
         5 => {
             let mut except: Vec<u32> = (0..n as u32).filter(|_| gen.gen_bool(0.3)).collect();
@@ -263,11 +262,6 @@ fn assert_equivalent(mb: &RoundMailbox<Tm>, rf: &Reference, ctx: &str) {
             );
         }
         assert_eq!(
-            mb.is_broadcast(sid),
-            rf.pure_broadcast[s],
-            "{ctx}: is_broadcast({s})"
-        );
-        assert_eq!(
             mb.broadcast_of(sid),
             if rf.pure_broadcast[s] {
                 rf.base[s].as_ref()
@@ -294,6 +288,15 @@ fn assert_equivalent(mb: &RoundMailbox<Tm>, rf: &Reference, ctx: &str) {
     }
     assert_eq!(mb.message_count(), rf.message_count(), "{ctx}: count");
     assert_eq!(mb.total_bits(), rf.total_bits(), "{ctx}: bits");
+    let scan = common::checked_scan(mb, ctx);
+    let arrivals = (0..n).flat_map(|s| (0..n).filter(move |&r| r != s).map(move |r| (s, r)));
+    let (want_msgs, want_bits) = arrivals
+        .filter_map(|(s, r)| rf.grid[s][r].as_ref())
+        .fold((0, 0), |(m, b), msg| (m + 1, b + msg.bit_size() as u64));
+    let recv_msgs: usize = scan.recv_msgs().iter().map(|&m| m as usize).sum();
+    let recv_bits: u64 = scan.recv_bits().iter().sum();
+    assert_eq!(recv_msgs, want_msgs, "{ctx}: sum of recv_msgs");
+    assert_eq!(recv_bits, want_bits, "{ctx}: sum of recv_bits");
     // max_edge_bits: bracketed rather than pinned, because the mailbox
     // (like the pre-dense implementation, which reported a broadcast's
     // size even at n = 1) may count a live base that no remote edge

@@ -60,7 +60,9 @@ fn message_count_matches_resolution() {
             let sender = NodeId::new(s as u32);
             for r in 0..n {
                 let receiver = NodeId::new(r as u32);
-                if mb.resolve(sender, receiver).is_some() && !(mb.is_broadcast(sender) && s == r) {
+                if mb.resolve(sender, receiver).is_some()
+                    && !(mb.broadcast_of(sender).is_some() && s == r)
+                {
                     resolvable += 1;
                 }
             }

@@ -327,6 +327,7 @@ fn cone_closures_match_naive_transitive_closure() {
             for &(r, s) in &extra {
                 scan.mark_extra(r, s);
             }
+            scan.finish_base_recv();
             scan.set_corrupted(&naive.corrupted);
             probe.arrivals(Round::new(round), &scan);
             naive.step(&base, &knocked, &extra);
