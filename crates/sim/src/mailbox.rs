@@ -1134,22 +1134,46 @@ mod tests {
     }
 
     #[test]
-    fn set_broadcast_except_skips_receivers_once() {
-        let mut mb = RoundMailbox::new(5);
-        mb.set_broadcast_except(id(2), Tm(6), &[0, 4]);
-        for r in 0..5 {
-            let want = (r != 0 && r != 4).then_some(&Tm(6));
-            assert_eq!(mb.resolve(id(2), id(r)), want, "r={r}");
-        }
-        assert_eq!(mb.resolve(id(2), id(2)), Some(&Tm(6)), "self-copy kept");
-        assert_eq!(mb.broadcast_of(id(2)), None, "not a pure broadcast");
+    fn knock_out_removes_single_broadcast_recipient() {
+        let mut mb = RoundMailbox::new(4);
+        mb.set(id(1), Emission::Broadcast(Tm(9)));
+        assert_eq!(mb.message_count(), 3);
+        mb.set_broadcast_except(id(1), Tm(9), &[3]);
+        assert_eq!(mb.resolve(id(1), id(3)), None);
+        assert_eq!(mb.resolve(id(1), id(0)), Some(&Tm(9)));
+        assert_eq!(mb.resolve(id(1), id(1)), Some(&Tm(9)), "self-copy kept");
+        assert_eq!(mb.broadcast_of(id(1)), None, "no longer a pure broadcast");
         assert_eq!(mb.message_count(), 2);
         assert_eq!(mb.total_bits(), 16);
         assert_eq!(mb.max_edge_bits(), 8, "base still crosses other edges");
+    }
+
+    #[test]
+    fn set_broadcast_except_matches_knock_outs() {
+        // Reference: the pure broadcast with each knocked receiver's cell
+        // emptied by hand; the self-copy was never counted, so each
+        // knocked non-self receiver takes one message and its bits away.
+        let mut full = RoundMailbox::new(5);
+        full.set(id(2), Emission::Broadcast(Tm(6)));
+        let knocked = [0u32, 4];
+        let mut b = RoundMailbox::new(5);
+        b.set_broadcast_except(id(2), Tm(6), &knocked);
+        for r in 0..5 {
+            let want = if knocked.contains(&r) {
+                None
+            } else {
+                full.resolve(id(2), id(r))
+            };
+            assert_eq!(b.resolve(id(2), id(r)), want, "r={r}");
+        }
+        let gone = knocked.iter().filter(|&&r| r != 2).count();
+        assert_eq!(b.message_count(), full.message_count() - gone);
+        assert_eq!(b.total_bits(), full.total_bits() - 8 * gone);
         // Duplicates in `except` are tolerated.
-        let mut dup = RoundMailbox::new(5);
-        dup.set_broadcast_except(id(2), Tm(6), &[0, 0, 4, 4]);
-        assert_eq!(dup.message_count(), 2);
+        let mut c = RoundMailbox::new(5);
+        c.set_broadcast_except(id(2), Tm(6), &[0, 0, 4, 4]);
+        assert_eq!(c.message_count(), b.message_count());
+        assert_eq!(c.total_bits(), b.total_bits());
     }
 
     #[test]
