@@ -41,21 +41,12 @@ use crate::id::NodeId;
 use crate::message::Message;
 use crate::plane::MessagePlane;
 
-/// One recorded mark: `sender` is knocked out of `receiver`'s bases, or
-/// (`extra`) reaches `receiver` with an explicit message.
-#[derive(Debug, Clone, Copy)]
+/// One recorded mark: `sender` goes into list `list` — `2r` is receiver
+/// `r`'s knocked list, `2r + 1` its extra list.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Mark {
-    receiver: u32,
     sender: u32,
-    extra: bool,
-}
-
-impl Mark {
-    /// The mark's list: `2r` is receiver `r`'s knocked list, `2r + 1`
-    /// its extra list.
-    fn list(self) -> usize {
-        2 * self.receiver as usize + usize::from(self.extra)
-    }
+    list: u32,
 }
 
 /// A pooled, reusable summary of one round's arrivals and traffic.
@@ -74,7 +65,11 @@ pub struct ArrivalScan {
     base_bits: Vec<u32>,
     /// Knocked/extra marks recorded since the last close, in any order.
     marks: Vec<Mark>,
-    /// Receiver-major list bounds: list `k` (see [`Mark::list`]) is
+    /// Some mark since the last close did not follow its predecessor in
+    /// ascending `(sender, list)` order, so the lists need sorting and
+    /// deduplicating. A plane's fill never sets it (debug builds check).
+    unordered: bool,
+    /// Receiver-major list bounds: list `k` (see [`Mark`]) is
     /// `senders[offsets[k]..offsets[k + 1]]`.
     offsets: Vec<u32>,
     /// Every list's sorted, duplicate-free sender IDs, back to back.
@@ -106,6 +101,7 @@ impl ArrivalScan {
         self.n = n;
         self.words = words;
         self.marks.clear();
+        self.unordered = false;
         self.senders.clear();
         resize_zero(&mut self.offsets, 2 * n + 1);
         resize_zero(&mut self.base_senders, words);
@@ -147,9 +143,10 @@ impl ArrivalScan {
     /// counters from `arrivals` — the round's plane after delivery —
     /// and closes the scan ([`ArrivalScan::finish_base_recv`]). One
     /// walk of every sender's broadcast base and deviations, in
-    /// ascending sender order: O(n²) on the dense plane, O(n²/64) words
-    /// on the packed one, O(n + deviations) on the sparse one. The
-    /// in-set of each receiver reproduces
+    /// ascending sender order — O(n²) cells on the dense plane, O(n²/64)
+    /// words on the packed one, O(n) on the sparse one — plus O(1) per
+    /// deviation cell to mark it and O(n + marks) to group the marks
+    /// into lists at the close. The in-set of each receiver reproduces
     /// [`MessagePlane::has_message`]; self-copies land in it (they are
     /// real inbox entries) but not in the delivered counters — they
     /// never touch the network.
@@ -176,6 +173,7 @@ impl ArrivalScan {
                 }
             }
         }
+        debug_assert!(!self.unordered, "deviations out of receiver order");
         self.finish_base_recv();
     }
 
@@ -208,11 +206,14 @@ impl ArrivalScan {
     #[inline]
     fn push_mark(&mut self, r: usize, s: usize, extra: bool) {
         debug_assert!(r < self.n && s < self.n, "mark ({s} -> {r}) out of range");
-        self.marks.push(Mark {
-            receiver: r as u32,
+        let mark = Mark {
             sender: s as u32,
-            extra,
-        });
+            list: (2 * r + usize::from(extra)) as u32,
+        };
+        if self.marks.last().is_some_and(|&last| last >= mark) {
+            self.unordered = true;
+        }
+        self.marks.push(mark);
     }
 
     /// Adds to sender `s`'s offered-traffic counters.
@@ -263,10 +264,12 @@ impl ArrivalScan {
         }
     }
 
-    /// Moves the pending marks into the receiver-major lists: a counting
-    /// sort by list, two linear passes, then each list sorted and
-    /// deduplicated in place (a no-op pass for a plane's fill, whose
-    /// marks arrive in ascending sender order, each once).
+    /// Moves the pending marks into the receiver-major lists by a
+    /// counting sort on the list, which keeps each list in mark order: a
+    /// plane's fill marks in ascending `(sender, list)` order, so its
+    /// lists come out sorted and duplicate-free as they are. Marks made
+    /// out of that order (by hand) are sorted and deduplicated per list
+    /// in place.
     fn close_lists(&mut self) {
         if self.marks.is_empty() {
             return;
@@ -274,7 +277,7 @@ impl ArrivalScan {
         debug_assert!(self.senders.is_empty(), "marks recorded after the close");
         let lists = 2 * self.n;
         for m in &self.marks {
-            self.offsets[m.list() + 1] += 1;
+            self.offsets[m.list as usize + 1] += 1;
         }
         for k in 0..lists {
             self.offsets[k + 1] += self.offsets[k];
@@ -283,15 +286,28 @@ impl ArrivalScan {
         // `offsets[k]` serves as list k's write cursor and ends at the
         // start of k + 1; shifting by one slot restores the starts.
         for m in &self.marks {
-            let cursor = &mut self.offsets[m.list()];
+            let cursor = &mut self.offsets[m.list as usize];
             self.senders[*cursor as usize] = m.sender;
             *cursor += 1;
         }
         self.offsets.copy_within(0..lists, 1);
         self.offsets[0] = 0;
         self.marks.clear();
+        if std::mem::take(&mut self.unordered) {
+            self.sort_and_dedup_lists();
+        }
+        for r in 0..self.n {
+            if self.offsets[2 * r + 2] > self.offsets[2 * r] {
+                self.dirty[r / 64] |= 1 << (r % 64);
+            }
+        }
+    }
+
+    /// Sorts every list and drops repeated senders, compacting the
+    /// lists in place.
+    fn sort_and_dedup_lists(&mut self) {
         let mut write = 0;
-        for k in 0..lists {
+        for k in 0..2 * self.n {
             let (start, end) = (self.offsets[k] as usize, self.offsets[k + 1] as usize);
             self.senders[start..end].sort_unstable();
             self.offsets[k] = write as u32;
@@ -302,11 +318,8 @@ impl ArrivalScan {
                     write += 1;
                 }
             }
-            if write > self.offsets[k] as usize {
-                self.dirty[k / 128] |= 1 << (k / 2 % 64);
-            }
         }
-        self.offsets[lists] = write as u32;
+        self.offsets[2 * self.n] = write as u32;
         self.senders.truncate(write);
     }
 
@@ -470,7 +483,10 @@ mod tests {
         s.set_corrupted(&[
             true, false, false, false, false, false, false, false, false, false,
         ]);
+        s.finish_base_recv();
         assert!(s.is_corrupted(0));
+        assert!(!s.is_clean(1));
+        assert_eq!(s.extra_row(1), &[2]);
         s.reset(4);
         assert_eq!(s.n(), 4);
         assert!(s.is_clean(1));
@@ -479,6 +495,44 @@ mod tests {
         assert!(!s.is_corrupted(0));
         assert!(s.extra_row(1).is_empty());
         assert!((0..4).all(|r| !s.has_message(2, r)));
+    }
+
+    #[test]
+    fn same_size_reset_after_a_closed_scan_leaves_nothing_behind() {
+        // The engine's per-round reuse: a closed, dirty scan is reset at
+        // the same `n` and refilled; nothing of the first round may show.
+        let n = 130;
+        let mut s = ArrivalScan::new();
+        s.reset(n);
+        s.mark_base(0, 8);
+        s.mark_base(129, 8);
+        for r in [1, 64, 129] {
+            s.mark_knocked(r, 0);
+            s.mark_extra(r, 5);
+        }
+        s.add_sent(0, 2, 16);
+        s.finish_base_recv();
+        assert_eq!(s.dirty().iter().map(|w| w.count_ones()).sum::<u32>(), 3);
+        s.reset(n);
+        assert!(s.dirty().iter().all(|&w| w == 0));
+        assert!((0..n).all(|r| s.is_clean(r)));
+        assert!((0..n).all(|r| s.knocked_row(r).is_empty() && s.extra_row(r).is_empty()));
+        assert!((0..n).all(|r| !s.has_message(0, r) && !s.has_message(5, r)));
+        assert!(s.sent_msgs().iter().chain(s.recv_msgs()).all(|&m| m == 0));
+        // Closing an empty round keeps it empty; a second round's marks
+        // read back alone.
+        s.finish_base_recv();
+        assert!((0..n).all(|r| s.is_clean(r) && s.recv_msgs()[r] == 0));
+        s.reset(n);
+        s.mark_base(3, 4);
+        s.mark_knocked(64, 3);
+        s.finish_base_recv();
+        let dirty: Vec<usize> = (0..n).filter(|&r| !s.is_clean(r)).collect();
+        assert_eq!(dirty, vec![64]);
+        assert_eq!(s.knocked_row(64), &[3]);
+        assert!((0..n).all(|r| s.extra_row(r).is_empty()));
+        assert!(s.knocked_row(1).is_empty() && s.knocked_row(129).is_empty());
+        assert!(!s.has_message(3, 64) && s.has_message(3, 1));
     }
 
     #[test]

@@ -910,29 +910,27 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
 
     fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<M>)> + '_ {
         let me = sender.index();
-        // Walk the row's `dev` lane a word at a time; `has` tells an
-        // explicit cell from a knock-out.
-        let lane: &[u64] = if self.dense[me] {
-            &self.dev[me * self.words..(me + 1) * self.words]
+        // Walk the row's `dev` lane a word at a time; the matching `has`
+        // word tells an explicit cell from a knock-out.
+        let (dev, has): (&[u64], &[u64]) = if self.dense[me] {
+            let row = me * self.words..(me + 1) * self.words;
+            (&self.dev[row.clone()], &self.has[row])
         } else {
-            &[]
+            (&[], &[])
         };
-        let set_bits = |word: u64| {
-            std::iter::successors((word != 0).then_some(word), |&b| {
-                let rest = b & (b - 1);
-                (rest != 0).then_some(rest)
-            })
-            .map(|b| b.trailing_zeros() as usize)
-        };
-        lane.iter()
-            .enumerate()
-            .flat_map(move |(w, &word)| set_bits(word).map(move |b| w * 64 + b))
-            .map(move |r| {
-                let m = self
-                    .bit(&self.has, me, r)
-                    .then(|| M::unpack(self.codes[me][r]));
-                (NodeId::new(r as u32), m)
-            })
+        let codes = &self.codes[me];
+        let (mut w, mut word) = (0, 0u64);
+        std::iter::from_fn(move || {
+            while word == 0 {
+                word = *dev.get(w)?;
+                w += 1;
+            }
+            let b = word.trailing_zeros() as usize;
+            word &= word - 1;
+            let r = (w - 1) * 64 + b;
+            let m = (has[w - 1] >> b & 1 != 0).then(|| M::unpack(codes[r]));
+            Some((NodeId::new(r as u32), m))
+        })
     }
 
     fn inbox(&self, receiver: NodeId) -> Inbox<'_, M> {

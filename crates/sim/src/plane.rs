@@ -130,8 +130,9 @@ pub trait MessagePlane<M: Message>: Default {
     /// [`MessagePlane::resolve_value`] without expanding a broadcast —
     /// the recording view that the trace recorder and the arrival scan
     /// ([`crate::arrivals`]) read. Walking
-    /// every sender costs O(n²) on the dense plane, O(n²/64) words on
-    /// the packed one and O(n + deviations) on the sparse one.
+    /// every sender costs O(n²) on the dense plane, O(n²/64) words plus
+    /// O(deviations) on the packed one and O(n + deviations) on the
+    /// sparse one.
     fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<M>)> + '_;
 
     /// Prepares the plane for inbox reads once the round's last

@@ -170,7 +170,7 @@ fn allocation_budgets_hold_at_large_n() {
         "every receiver must be dirty"
     );
     // O(n) counters and list bounds plus a few bytes per arrival
-    // (~1.4 MiB); one pair of n-bit rows per dirty receiver took 64 MiB.
+    // (~1.2 MiB); one pair of n-bit rows per dirty receiver took 64 MiB.
     assert!(
         bytes < 4 << 20,
         "ArrivalScan of a point-to-point round at n=16384 allocated {bytes} bytes"

@@ -15,7 +15,7 @@
 //! * 128 MiB for run, check, observe, replay and observe-replay;
 //! * 300 MiB for `provenance` and 576 MiB for `provenance_replay`
 //!   (which holds two probes), whose causal closures are `n²` bits per
-//!   probe by design (about 225 MiB at this `n`). They measure 249.6 and
+//!   probe by design (about 225 MiB at this `n`). They measure 249.4 and
 //!   513.8 MiB, leaving 50 and 62 MiB of headroom; the arrival scan's
 //!   sender lists cost O(n + arrivals) a round, where a pair of `n`-bit
 //!   rows per dirty receiver (64 MiB a round here) put the two at 325.3
