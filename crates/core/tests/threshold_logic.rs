@@ -3,7 +3,7 @@
 //! sentence of the paper made executable.
 
 use aba_agreement::{BaConfig, BaMsg, BaNodeView, CommitteeBa, SubRound};
-use aba_sim::{Emission, NodeId, Protocol, Round, RoundMailbox};
+use aba_sim::{Emission, MessagePlane, NodeId, Protocol, Round, RoundMailbox};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 

@@ -314,14 +314,13 @@ impl<M: Message, N: NetworkModel, L: MessagePlane<M>> Delivery<M, L> for NetDeli
             let m = wire
                 .resolve_value(sender, receiver)
                 .expect("fresh message vanished mid-round");
-            match out.insert_if_vacant(sender, receiver, m) {
-                None => stats.delivered += 1,
-                Some(m) => {
-                    stats.delayed += 1;
-                    self.work.conflicts += 1;
-                    self.queue
-                        .push(round, round.index() + 1, sender, receiver, m);
-                }
+            if out.insert_group_if_vacant(sender, &mut [r], &m) == 1 {
+                stats.delivered += 1;
+            } else {
+                stats.delayed += 1;
+                self.work.conflicts += 1;
+                self.queue
+                    .push(round, round.index() + 1, sender, receiver, m);
             }
         }
 

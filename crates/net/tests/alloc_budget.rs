@@ -17,7 +17,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use aba_net::{BoundedDelay, DelayScheduler, NetDelivery};
-use aba_sim::{CorruptionLedger, Delivery, Emission, Message, NodeId, Round, RoundMailbox};
+use aba_sim::{
+    CorruptionLedger, Delivery, Emission, Message, MessagePlane, NodeId, Round, RoundMailbox,
+};
 
 struct CountingAlloc;
 

@@ -127,10 +127,9 @@ impl RoundEdges {
 }
 
 /// Metadata of a node's decision cone, frozen at its halt (or at run
-/// end for nodes that never decided). The three frozen bitsets
-/// (`anc(v)`, `bad(v)`, corruption snapshot) live in the probe's flat
-/// `frozen_bits` pool — freezing a cone on the halt hook must not
-/// allocate.
+/// end for nodes that never decided). The two frozen bitsets (`anc(v)`
+/// and `bad(v)`) live in the probe's flat `frozen_bits` pool — freezing
+/// a cone on the halt hook must not allocate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct FrozenCone {
     /// Round of the halt hook (or the last round, if never decided).
@@ -141,6 +140,8 @@ struct FrozenCone {
     decided: bool,
     /// `depth(v)` at freeze time.
     depth: u64,
+    /// Cone members corrupted by freeze time.
+    corrupted_ancestors: u64,
 }
 
 /// A frozen cone plus views into its pooled bitsets.
@@ -149,12 +150,11 @@ struct ConeView<'a> {
     output: Option<bool>,
     decided: bool,
     depth: u64,
+    corrupted_ancestors: u64,
     /// `anc(v)` at freeze time.
     members: &'a [u64],
     /// `bad(v)` at freeze time.
     influence: &'a [u64],
-    /// Corruption bitset at freeze time.
-    corrupted: &'a [u64],
 }
 
 /// Summary statistics of one node's decision cone — what
@@ -219,8 +219,8 @@ pub struct ProvenanceProbe {
     recv_msgs: Vec<u64>,
     recv_bits: Vec<u64>,
     frozen: Vec<Option<FrozenCone>>,
-    /// Flat `n × 3·words` pool behind [`ConeView`]: per node, the
-    /// frozen `anc`, `bad`, and corruption bitsets, in that order.
+    /// Flat `n × 2·words` pool behind [`ConeView`]: per node, the
+    /// frozen `anc` and `bad` bitsets, in that order.
     frozen_bits: Vec<u64>,
     /// Saturation fast path: set when the last full update changed no
     /// `anc`/`bad` word on an all-clean round. A later all-clean round
@@ -315,15 +315,15 @@ impl ProvenanceProbe {
         let i = node.index();
         let meta = (*self.frozen.get(i)?)?;
         let w = self.words;
-        let base = i * 3 * w;
+        let base = i * 2 * w;
         Some(ConeView {
             round: meta.round,
             output: meta.output,
             decided: meta.decided,
             depth: meta.depth,
+            corrupted_ancestors: meta.corrupted_ancestors,
             members: &self.frozen_bits[base..base + w],
             influence: &self.frozen_bits[base + w..base + 2 * w],
-            corrupted: &self.frozen_bits[base + 2 * w..base + 3 * w],
         })
     }
 
@@ -338,7 +338,7 @@ impl ProvenanceProbe {
             decided: c.decided,
             width: popcount(c.members),
             depth: c.depth,
-            corrupted_ancestors: popcount_and(c.members, c.corrupted),
+            corrupted_ancestors: c.corrupted_ancestors,
             influenced_by: popcount(c.influence),
         })
     }
@@ -376,15 +376,16 @@ impl ProvenanceProbe {
 
     fn freeze(&mut self, i: usize, round: u64, output: Option<bool>, decided: bool) {
         let w = self.words;
-        let base = i * 3 * w;
-        self.frozen_bits[base..base + w].copy_from_slice(&self.anc[i * w..(i + 1) * w]);
+        let base = i * 2 * w;
+        let anc = &self.anc[i * w..(i + 1) * w];
+        self.frozen_bits[base..base + w].copy_from_slice(anc);
         self.frozen_bits[base + w..base + 2 * w].copy_from_slice(&self.bad[i * w..(i + 1) * w]);
-        self.frozen_bits[base + 2 * w..base + 3 * w].copy_from_slice(&self.corrupted);
         self.frozen[i] = Some(FrozenCone {
             round,
             output,
             decided,
             depth: self.depth[i],
+            corrupted_ancestors: popcount_and(anc, &self.corrupted),
         });
     }
 
@@ -590,7 +591,7 @@ impl Probe for ProvenanceProbe {
         self.frozen.clear();
         self.frozen.resize(n, None);
         self.frozen_bits.clear();
-        self.frozen_bits.resize(n * 3 * words, 0);
+        self.frozen_bits.resize(n * 2 * words, 0);
         self.rounds.clear();
         // Every node starts in its own causal past.
         for i in 0..n {

@@ -29,7 +29,7 @@ use crate::plane::MessagePlane;
 pub struct DeliveryStats {
     /// Point-to-point messages handed to receivers this round (a node's
     /// local self-copy of its own broadcast is not counted, matching
-    /// [`RoundMailbox::message_count`]).
+    /// [`MessagePlane::message_count`]).
     pub delivered: usize,
     /// Messages dropped by the network this round.
     pub dropped: usize,

@@ -86,6 +86,7 @@ pub mod probe;
 pub mod protocol;
 pub mod rng;
 pub mod sparse;
+mod traffic;
 pub mod verdict;
 
 pub use adversary::{Adversary, AdversaryAction, CorruptionLedger, InfoModel, RoundView};

@@ -1,4 +1,4 @@
-//! Per-round message store.
+//! The dense message plane.
 //!
 //! In a complete network most traffic is broadcast, so the mailbox stores
 //! one *row* per sender: an optional shared broadcast message (`base`,
@@ -13,9 +13,9 @@
 //! * A pure broadcast is one `M` and a flag — no per-receiver clones,
 //!   ever. The delivery stage installs a pre-routed broadcast row that
 //!   skips the receivers the network knocked out
-//!   ([`RoundMailbox::set_broadcast_except`]), or layers a broadcast
+//!   ([`MessagePlane::set_broadcast_except`]), or layers a broadcast
 //!   under already-delivered messages
-//!   ([`RoundMailbox::merge_broadcast_except`]), without materializing
+//!   ([`MessagePlane::merge_broadcast_except`]), without materializing
 //!   `n` copies of the message.
 //! * Deviation lanes live in **one flat `n × n` cell arena** per
 //!   mailbox (`lanes[sender * n + receiver]`), allocated at most once
@@ -26,28 +26,21 @@
 //!   loops walk a single stable allocation instead of `n` heap-scattered
 //!   maps. A row's lane is stamped back to `Inherit` only when the row
 //!   actually deviates in that round.
-//! * Message/bit counters are maintained incrementally on every
-//!   mutation, so [`RoundMailbox::message_count`] and
-//!   [`RoundMailbox::total_bits`] are O(1) reads and
-//!   [`RoundMailbox::max_edge_bits`] is O(1) when no mutation lowered a
-//!   row maximum (the engine's wire-side usage) and O(rows touched)
-//!   otherwise.
-//! * [`RoundMailbox::reset`] clears the mailbox while keeping every
+//! * The message, bit and max-edge counters live in the crate's shared
+//!   `traffic` counters, updated on every mutation, so
+//!   [`MessagePlane::message_count`] and [`MessagePlane::total_bits`]
+//!   are O(1) reads and [`MessagePlane::max_edge_bits`] is O(1) unless
+//!   an edit lowered a row maximum, when it rescans the dirty rows'
+//!   lanes. The counting convention is in the [`crate::plane`] docs.
+//! * [`MessagePlane::reset`] clears the mailbox while keeping every
 //!   allocation (rows and the lane arena), so the engine and the
 //!   delivery stage can pool mailboxes across rounds: after warm-up the
 //!   message plane allocates nothing per round.
-//!
-//! # Counting convention
-//!
-//! `message_count`/`total_bits` count point-to-point wire messages. A
-//! node's *self-copy of its own broadcast* is local and free (the paper
-//! counts a broadcast as `n - 1` messages), so it is excluded; an
-//! explicit point-to-point message a sender addresses to itself (via
-//! [`Emission::PerRecipient`] or [`RoundMailbox::insert`]) is counted,
-//! exactly as the pre-dense implementation counted it.
 
 use crate::id::NodeId;
 use crate::message::{Emission, Message};
+use crate::plane::MessagePlane;
+use crate::traffic::{Held, RowTraffic, Traffic};
 
 /// One receiver's deviation from the row's broadcast base.
 #[derive(Debug, Clone)]
@@ -70,16 +63,6 @@ struct Row<M> {
     base: Option<M>,
     /// Whether the row's lane slice is live (stamped this round).
     dense: bool,
-    /// Countable messages in this row (see the counting convention).
-    count: usize,
-    /// Total bits of the counted messages.
-    bits: usize,
-    /// Largest message present in this row, in bits. Exact unless
-    /// `max_dirty`.
-    max_bits: usize,
-    /// Set when a mutation removed or shrank a message that may have
-    /// been the row maximum; readers rescan the lane on demand.
-    max_dirty: bool,
 }
 
 impl<M> Default for Row<M> {
@@ -87,10 +70,6 @@ impl<M> Default for Row<M> {
         Row {
             base: None,
             dense: false,
-            count: 0,
-            bits: 0,
-            max_bits: 0,
-            max_dirty: false,
         }
     }
 }
@@ -107,10 +86,6 @@ impl<M: Message> Row<M> {
         }
         self.base = None;
         self.dense = false;
-        self.count = 0;
-        self.bits = 0;
-        self.max_bits = 0;
-        self.max_dirty = false;
     }
 
     /// The message receiver `r` gets from this row, if any. `lane` is
@@ -127,20 +102,12 @@ impl<M: Message> Row<M> {
         }
     }
 
-    /// `(counted, bits)` contribution of receiver `r` for a row owned by
-    /// sender `me` — the base self-copy is free, explicit messages are
-    /// not.
-    fn contribution(&self, lane: &[Cell<M>], me: usize, r: usize) -> (bool, usize) {
-        let via_base = !self.dense || matches!(lane[r], Cell::Inherit);
-        match self.effective(lane, r) {
-            None => (false, 0),
-            Some(m) => {
-                if via_base && r == me {
-                    (false, 0)
-                } else {
-                    (true, m.bit_size())
-                }
-            }
+    /// What receiver `r` gets from this row, as the counters see it.
+    fn held(&self, lane: &[Cell<M>], r: usize) -> Held {
+        match (self.dense.then(|| &lane[r]), &self.base) {
+            (Some(Cell::Msg(m)), _) => Held::Explicit(m.bit_size()),
+            (Some(Cell::Knocked), _) | (_, None) => Held::Nothing,
+            (_, Some(base)) => Held::Base(base.bit_size()),
         }
     }
 
@@ -156,12 +123,9 @@ impl<M: Message> Row<M> {
         self.dense = true;
     }
 
-    /// The exact row maximum, rescanning the lane if a removal dirtied
-    /// the cached value.
-    fn current_max(&self, lane: &[Cell<M>]) -> usize {
-        if !self.max_dirty {
-            return self.max_bits;
-        }
+    /// The largest message the row delivers now: the walk a dirty row's
+    /// maximum is rescanned with.
+    fn max_bits(&self, lane: &[Cell<M>]) -> usize {
         let base_bits = self.base.as_ref().map_or(0, Message::bit_size);
         let mut max = if self.base.is_some()
             && (!self.dense || lane.iter().any(|c| matches!(c, Cell::Inherit)))
@@ -183,34 +147,28 @@ impl<M: Message> Row<M> {
 
 /// All messages emitted in a single round, indexed by sender.
 ///
-/// See the module docs for the memory layout, pooling contract, and
-/// counting convention.
+/// See the module docs for the memory layout and pooling contract, and
+/// [`MessagePlane`] for the operations.
 #[derive(Debug, Clone)]
 pub struct RoundMailbox<M> {
     n: usize,
     rows: Vec<Row<M>>,
     /// Flat `n × n` deviation-cell arena (`sender * n + receiver`),
-    /// allocated on first use and retained across [`RoundMailbox::reset`]
+    /// allocated on first use and retained across [`MessagePlane::reset`]
     /// while `n` is unchanged. Empty until some row deviates.
     lanes: Vec<Cell<M>>,
-    count: usize,
-    bits: usize,
-    max_cache: usize,
-    max_dirty: bool,
+    traffic: Traffic,
 }
 
 impl<M> Default for RoundMailbox<M> {
     /// An empty zero-node mailbox — the pooling placeholder. Call
-    /// [`RoundMailbox::reset`] to size it before use.
+    /// [`MessagePlane::reset`] to size it before use.
     fn default() -> Self {
         RoundMailbox {
             n: 0,
             rows: Vec::new(),
             lanes: Vec::new(),
-            count: 0,
-            bits: 0,
-            max_cache: 0,
-            max_dirty: false,
+            traffic: Traffic::default(),
         }
     }
 }
@@ -221,50 +179,6 @@ impl<M: Message> RoundMailbox<M> {
         let mut mb = Self::default();
         mb.reset(n);
         mb
-    }
-
-    /// Empties the mailbox and (re)sizes it for an `n`-node network,
-    /// retaining every allocation — rows and the lane arena — so pooled
-    /// mailboxes allocate nothing per round after warm-up.
-    pub fn reset(&mut self, n: usize) {
-        if n != self.n {
-            // The arena layout depends on n; drop it and re-arm lazily
-            // (which also drops every retained message in one free).
-            self.lanes.clear();
-            self.rows.truncate(n);
-            for row in &mut self.rows {
-                row.clear(&mut []);
-            }
-        } else {
-            // Same size: clear rows against their lanes, so dense rows
-            // drop their retained `Msg` payloads now.
-            let stride = self.n;
-            let RoundMailbox { rows, lanes, .. } = self;
-            for (i, row) in rows.iter_mut().enumerate() {
-                let lane = if lanes.is_empty() {
-                    &mut [][..]
-                } else {
-                    &mut lanes[i * stride..(i + 1) * stride]
-                };
-                row.clear(lane);
-            }
-        }
-        self.rows.resize_with(n, Row::default);
-        self.n = n;
-        self.count = 0;
-        self.bits = 0;
-        self.max_cache = 0;
-        self.max_dirty = false;
-    }
-
-    /// Empties the mailbox, keeping its size and allocations.
-    pub fn clear(&mut self) {
-        self.reset(self.n);
-    }
-
-    /// Number of nodes in the network.
-    pub fn n(&self) -> usize {
-        self.n
     }
 
     /// Materializes the flat lane arena (all-`Inherit`), if not yet
@@ -284,305 +198,118 @@ impl<M: Message> RoundMailbox<M> {
         }
     }
 
-    /// Applies `edit` to row `me` and its lane slice (empty while the
-    /// arena is unallocated — edits that materialize a lane must call
-    /// [`RoundMailbox::alloc_lanes`] first), then folds the row's
-    /// counter changes into the global counters.
-    fn edit_row(&mut self, me: usize, edit: impl FnOnce(&mut Row<M>, &mut [Cell<M>], usize)) {
+    /// Row `me` and its lane slice, for an edit (the slice is empty while
+    /// the arena is unallocated — edits that materialize a lane call
+    /// [`RoundMailbox::alloc_lanes`] first).
+    fn row_mut(&mut self, me: usize) -> (&mut Row<M>, &mut [Cell<M>]) {
         let n = self.n;
-        let RoundMailbox {
-            rows,
-            lanes,
-            count,
-            bits,
-            max_cache,
-            max_dirty,
-            ..
-        } = self;
-        let row = &mut rows[me];
-        let lane = if lanes.is_empty() {
+        let lane = if self.lanes.is_empty() {
             &mut [][..]
         } else {
-            &mut lanes[me * n..(me + 1) * n]
+            &mut self.lanes[me * n..(me + 1) * n]
         };
-        *count -= row.count;
-        *bits -= row.bits;
-        let old_max = row.current_max(lane);
-        edit(row, lane, n);
-        *count += row.count;
-        *bits += row.bits;
-        if row.max_dirty || row.max_bits < old_max {
-            // The row maximum may have shrunk (or is only an upper
-            // bound); the global cache must be rebuilt on demand.
-            *max_dirty = true;
-        } else if !*max_dirty {
-            *max_cache = (*max_cache).max(row.max_bits);
-        }
+        (&mut self.rows[me], lane)
     }
 
-    /// Installs `emission` as `sender`'s contribution, replacing whatever
-    /// was there (used both for honest emissions and for the adversary
-    /// overriding a freshly-corrupted node's message).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or any per-recipient receiver is out of range.
-    pub fn set(&mut self, sender: NodeId, emission: Emission<M>) {
+    /// The message `receiver` gets from `sender` this round, if any.
+    pub fn resolve(&self, sender: NodeId, receiver: NodeId) -> Option<&M> {
+        let me = sender.index();
+        self.rows[me].effective(self.lane(me), receiver.index())
+    }
+}
+
+impl<M: Message> MessagePlane<M> for RoundMailbox<M> {
+    /// Keeps every allocation, rows and the lane arena, while `n` is
+    /// unchanged.
+    fn reset(&mut self, n: usize) {
+        if n != self.n {
+            // The arena layout depends on n; drop it and re-arm lazily
+            // (which also drops every retained message in one free).
+            self.lanes.clear();
+            self.rows.truncate(n);
+            for row in &mut self.rows {
+                row.clear(&mut []);
+            }
+        } else {
+            // Same size: clear rows against their lanes, so dense rows
+            // drop their retained `Msg` payloads now.
+            for me in 0..n {
+                let (row, lane) = self.row_mut(me);
+                row.clear(lane);
+            }
+        }
+        self.rows.resize_with(n, Row::default);
+        self.n = n;
+        self.traffic.reset(n);
+    }
+
+    fn n(&self) -> usize {
+        self.n
+    }
+
+    fn set(&mut self, sender: NodeId, emission: Emission<M>) {
         let me = sender.index();
         match emission {
             Emission::Silent => self.silence(sender),
-            Emission::Broadcast(m) => self.edit_row(me, |row, lane, n| {
+            Emission::Broadcast(m) => {
+                let bits = m.bit_size();
+                let (row, lane) = self.row_mut(me);
                 row.clear(lane);
-                let bs = m.bit_size();
-                row.count = n.saturating_sub(1);
-                row.bits = bs * row.count;
-                row.max_bits = bs;
                 row.base = Some(m);
-            }),
+                self.traffic
+                    .fold(me, RowTraffic::broadcast(self.n, 0, bits));
+            }
             Emission::PerRecipient(v) => {
                 if v.is_empty() {
-                    self.silence(sender);
-                    return;
+                    return self.silence(sender);
                 }
                 self.alloc_lanes();
-                self.edit_row(me, |row, lane, _| {
-                    row.clear(lane);
-                    row.ensure_dense(lane);
-                    for (to, m) in v {
-                        // Later entries override earlier ones.
-                        let bs = m.bit_size();
-                        match std::mem::replace(&mut lane[to.index()], Cell::Msg(m)) {
-                            Cell::Inherit | Cell::Knocked => {
-                                row.count += 1;
-                                row.bits += bs;
-                            }
-                            Cell::Msg(old) => {
-                                row.bits += bs;
-                                row.bits -= old.bit_size();
-                                // The overridden duplicate may have held
-                                // the running maximum; rescan lazily.
-                                row.max_dirty = true;
-                            }
-                        }
-                        row.max_bits = row.max_bits.max(bs);
+                let (row, lane) = self.row_mut(me);
+                row.clear(lane);
+                row.ensure_dense(lane);
+                let mut traffic = RowTraffic::default();
+                for (to, m) in v {
+                    let bits = m.bit_size();
+                    match std::mem::replace(&mut lane[to.index()], Cell::Msg(m)) {
+                        Cell::Inherit | Cell::Knocked => traffic.add(1, bits),
+                        Cell::Msg(old) => traffic.supersede(old.bit_size(), bits),
                     }
-                });
+                }
+                self.traffic.fold(me, traffic);
             }
         }
     }
 
-    /// Removes `sender`'s contribution entirely.
-    pub fn silence(&mut self, sender: NodeId) {
-        self.edit_row(sender.index(), |row, lane, _| row.clear(lane));
-    }
-
-    /// Installs a broadcast of `msg` from `sender` that skips the
-    /// receivers in `except` — the delivery stage's way of storing "this
-    /// broadcast reached everyone but these" as one shared copy instead
-    /// of `n - 1` clones. Duplicate entries in `except` are tolerated;
-    /// `sender`'s free self-copy is unaffected unless explicitly listed.
-    ///
-    /// Replaces whatever the row held. Cost: O(`except.len()`) plus a
-    /// one-off tag fill of the row's lane when `except` is non-empty.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or any entry of `except` is out of range.
-    pub fn set_broadcast_except(&mut self, sender: NodeId, msg: M, except: &[u32]) {
+    fn silence(&mut self, sender: NodeId) {
         let me = sender.index();
-        if except.is_empty() {
-            return self.set(sender, Emission::Broadcast(msg));
-        }
-        self.alloc_lanes();
-        self.edit_row(me, |row, lane, n| {
-            row.clear(lane);
-            row.ensure_dense(lane);
-            let bs = msg.bit_size();
-            row.max_bits = bs;
-            row.count = n.saturating_sub(1);
-            for &r in except {
-                let cell = &mut lane[r as usize];
-                if !matches!(cell, Cell::Knocked) {
-                    *cell = Cell::Knocked;
-                    if r as usize != me {
-                        row.count -= 1;
-                    }
-                }
-            }
-            row.bits = bs * row.count;
-            row.base = Some(msg);
-        });
+        let (row, lane) = self.row_mut(me);
+        row.clear(lane);
+        self.traffic.fold(me, RowTraffic::default());
     }
 
-    /// Layers a broadcast of `msg` from `sender` *under* the row's
-    /// existing point-to-point messages: receivers with no message and no
-    /// `except` entry now inherit the shared base (one copy, no clones);
-    /// receivers that already hold a message keep it and are appended to
-    /// `conflicts` (ascending) so the caller can re-route the fresh copy.
-    /// The delivery stage uses this when older in-flight traffic has
-    /// already landed on a broadcasting sender's row — the old message
-    /// wins the link, exactly as in the flight queue's FIFO rule.
-    ///
-    /// `except` must be sorted ascending (duplicates are tolerated); the
-    /// row must not already hold a broadcast base.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or any entry of `except` is out of range, or if
-    /// the row already has a base.
-    pub fn merge_broadcast_except(
-        &mut self,
-        sender: NodeId,
-        msg: M,
-        except: &[u32],
-        conflicts: &mut Vec<u32>,
-    ) {
-        let me = sender.index();
-        debug_assert!(except.windows(2).all(|w| w[0] <= w[1]), "except not sorted");
-        self.alloc_lanes();
-        self.edit_row(me, |row, lane, _| {
-            assert!(
-                row.base.is_none(),
-                "merge_broadcast_except over an existing broadcast base"
-            );
-            row.ensure_dense(lane);
-            let bs = msg.bit_size();
-            let mut k = 0usize;
-            let mut inherited = 0usize;
-            // No branch on whether a receiver is knocked — a coin flip
-            // per receiver under random delays: the `except` cursor moves
-            // by a flag, and every receiver is written into room reserved
-            // in `conflicts`, kept only when it is a conflict.
-            let mut kept = conflicts.len();
-            conflicts.resize(kept + lane.len(), 0);
-            for (r, cell) in lane.iter_mut().enumerate() {
-                let is_knocked = except.get(k).is_some_and(|&x| x as usize == r);
-                k += usize::from(is_knocked);
-                while except.get(k).is_some_and(|&x| x as usize == r) {
-                    k += 1; // a duplicate entry
-                }
-                let is_msg = matches!(cell, Cell::Msg(_));
-                let is_inherit = matches!(cell, Cell::Inherit);
-                conflicts[kept] = r as u32;
-                kept += usize::from(is_msg && !is_knocked);
-                inherited += usize::from(is_inherit && !is_knocked && r != me);
-                if is_inherit && is_knocked {
-                    *cell = Cell::Knocked;
-                }
-            }
-            conflicts.truncate(kept);
-            row.count += inherited;
-            row.bits += inherited * bs;
-            row.max_bits = row.max_bits.max(bs);
-            row.base = Some(msg);
-        });
-    }
-
-    /// The row's shared broadcast base, if any — present even when
-    /// receivers have been knocked out or overridden (unlike
-    /// [`RoundMailbox::broadcast_of`], which only reports *pure*
-    /// broadcasts).
-    pub fn broadcast_base(&self, sender: NodeId) -> Option<&M> {
-        self.rows[sender.index()].base.as_ref()
-    }
-
-    /// Whether row `me` carries nothing at all (not even a self-copy).
-    fn is_silent_row(&self, me: usize) -> bool {
-        let row = &self.rows[me];
-        row.count == 0 && row.effective(self.lane(me), me).is_none()
-    }
-
-    /// Adds a single point-to-point message, merging with whatever
-    /// `sender` already has in this mailbox (the delivery stage uses this
-    /// to assemble a round's arrivals one message at a time). An existing
-    /// message for the same `(sender, receiver)` pair is replaced; other
-    /// receivers of a broadcast keep the shared copy — the broadcast is
-    /// *not* expanded into per-recipient clones, so this is O(1) per
-    /// insert after the row's one-off lane stamp.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or `receiver` is out of range.
-    pub fn insert(&mut self, sender: NodeId, receiver: NodeId, m: M) {
+    /// O(1) per insert after the row's one-off lane stamp: the other
+    /// receivers of a broadcast keep the shared copy.
+    fn insert(&mut self, sender: NodeId, receiver: NodeId, m: M) {
         let me = sender.index();
         let r = receiver.index();
+        let bits = m.bit_size();
         self.alloc_lanes();
-        self.edit_row(me, |row, lane, _| {
-            row.ensure_dense(lane);
-            let (counted, old_bits) = row.contribution(lane, me, r);
-            let bs = m.bit_size();
-            lane[r] = Cell::Msg(m);
-            if counted {
-                row.bits -= old_bits;
-                row.count -= 1;
-                if old_bits >= bs && old_bits == row.max_bits {
-                    row.max_dirty = true;
-                }
-            }
-            row.count += 1;
-            row.bits += bs;
-            row.max_bits = row.max_bits.max(bs);
-        });
+        let (row, lane) = self.row_mut(me);
+        row.ensure_dense(lane);
+        let held = row.held(lane, r);
+        lane[r] = Cell::Msg(m);
+        self.traffic.replace(me, r, held, bits);
     }
 
-    /// Inserts `m` at `(sender, receiver)` only if no message occupies
-    /// that pair, returning `None` on success and handing `m` back when
-    /// the link is busy. The delivery stage merges a fresh
-    /// point-to-point message with it: one row walk decides *and*
-    /// installs, with none of the generic replacement bookkeeping of
-    /// [`RoundMailbox::insert`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or `receiver` is out of range.
-    pub fn insert_if_vacant(&mut self, sender: NodeId, receiver: NodeId, m: M) -> Option<M> {
-        let bs = m.bit_size();
-        let mut m = Some(m);
-        self.fill_vacant(sender, &mut [receiver.raw()], bs, || {
-            m.take().expect("built once")
-        });
-        m
-    }
-
-    /// Installs a clone of `msg` at every `(sender, r)` pair of
-    /// `receivers` that is vacant, in order, and returns how many it
-    /// installed; the busy receivers are compacted, in order, to the
-    /// front of `receivers`. The flight queue's drain primitive: a whole
-    /// flight group costs one row lookup and one counter update, and the
+    /// One row lookup and one counter update for the whole group; the
     /// shared message is cloned per *installed* receiver only.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or any receiver is out of range.
-    pub fn insert_group_if_vacant(
-        &mut self,
-        sender: NodeId,
-        receivers: &mut [u32],
-        msg: &M,
-    ) -> usize {
-        self.fill_vacant(sender, receivers, msg.bit_size(), || msg.clone())
-    }
-
-    /// Builds a `bs`-bit message with `make` for every vacant pair of
-    /// `receivers`, in order; compacts the busy receivers to the front
-    /// and returns how many messages it installed. A pure add can never
-    /// lower a row maximum, so the counters update directly, with none
-    /// of [`RoundMailbox::insert`]'s replacement bookkeeping.
-    fn fill_vacant(
-        &mut self,
-        sender: NodeId,
-        receivers: &mut [u32],
-        bs: usize,
-        mut make: impl FnMut() -> M,
-    ) -> usize {
+    fn insert_group_if_vacant(&mut self, sender: NodeId, receivers: &mut [u32], msg: &M) -> usize {
         let me = sender.index();
-        let n = self.n;
         if receivers.is_empty() || (!self.rows[me].dense && self.rows[me].base.is_some()) {
             return 0; // nothing offered, or a pure broadcast: every pair is occupied
         }
         self.alloc_lanes();
-        let row = &mut self.rows[me];
-        let lane = &mut self.lanes[me * n..(me + 1) * n];
+        let (row, lane) = self.row_mut(me);
         row.ensure_dense(lane);
         let has_base = row.base.is_some();
         let mut busy = 0;
@@ -595,57 +322,124 @@ impl<M: Message> RoundMailbox<M> {
                 Cell::Knocked => true,
             };
             if vacant {
-                // An explicit message always counts (even a self-copy).
-                *cell = Cell::Msg(make());
+                *cell = Cell::Msg(msg.clone());
             } else {
                 receivers[busy] = r;
                 busy += 1;
             }
         }
         let installed = receivers.len() - busy;
-        if installed > 0 {
-            row.count += installed;
-            row.bits += installed * bs;
-            row.max_bits = row.max_bits.max(bs);
-            let row_max = row.max_bits;
-            self.count += installed;
-            self.bits += installed * bs;
-            if !self.max_dirty {
-                self.max_cache = self.max_cache.max(row_max);
-            }
-        }
+        self.traffic.add(me, installed, msg.bit_size());
         installed
     }
 
-    /// Removes and returns `sender`'s *pure* broadcast message (no
-    /// knock-outs, no overrides), leaving the row silent. The delivery
-    /// stage uses this to move the base into the arrivals mailbox
-    /// without cloning. Returns `None` for any other row shape.
-    pub fn take_broadcast(&mut self, sender: NodeId) -> Option<M> {
+    /// Cost: O(`except.len()`) plus a one-off tag fill of the row's lane
+    /// when `except` is non-empty.
+    fn set_broadcast_except(&mut self, sender: NodeId, msg: M, except: &[u32]) {
         let me = sender.index();
-        if self.rows[me].dense || self.rows[me].base.is_none() {
-            return None;
+        if except.is_empty() {
+            return self.set(sender, Emission::Broadcast(msg));
         }
-        let mut taken = None;
-        self.edit_row(me, |row, lane, _| {
-            taken = row.base.take();
-            row.clear(lane);
-        });
-        taken
+        self.alloc_lanes();
+        let (row, lane) = self.row_mut(me);
+        row.clear(lane);
+        row.ensure_dense(lane);
+        let mut knocked = 0;
+        for &r in except {
+            let cell = &mut lane[r as usize];
+            if !matches!(cell, Cell::Knocked) {
+                *cell = Cell::Knocked;
+                knocked += usize::from(r as usize != me);
+            }
+        }
+        let bits = msg.bit_size();
+        row.base = Some(msg);
+        self.traffic
+            .fold(me, RowTraffic::broadcast(self.n, knocked, bits));
     }
 
-    /// The per-receiver deviations of `sender`'s row from its broadcast
-    /// base, in receiver order: `(receiver, None)` for a receiver knocked
-    /// out of the base, `(receiver, Some(m))` for a receiver overridden
-    /// with a specific message. Yields nothing for silent and pure-
-    /// broadcast rows.
-    ///
-    /// Together with [`RoundMailbox::broadcast_base`] this is the
-    /// mailbox's *recording view*: `(base, deviations)` reproduces
-    /// [`RoundMailbox::resolve`] for every receiver without expanding a
-    /// broadcast into clones — which is what keeps the `aba-check` trace
-    /// recorder allocation-light.
-    pub fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<M>)> + '_ {
+    fn merge_broadcast_except(
+        &mut self,
+        sender: NodeId,
+        msg: M,
+        except: &[u32],
+        conflicts: &mut Vec<u32>,
+    ) {
+        let me = sender.index();
+        debug_assert!(except.windows(2).all(|w| w[0] <= w[1]), "except not sorted");
+        self.alloc_lanes();
+        let (row, lane) = self.row_mut(me);
+        assert!(
+            row.base.is_none(),
+            "merge_broadcast_except over an existing broadcast base"
+        );
+        row.ensure_dense(lane);
+        let mut k = 0usize;
+        let mut inherited = 0usize;
+        // No branch on whether a receiver is knocked — a coin flip
+        // per receiver under random delays: the `except` cursor moves
+        // by a flag, and every receiver is written into room reserved
+        // in `conflicts`, kept only when it is a conflict.
+        let mut kept = conflicts.len();
+        conflicts.resize(kept + lane.len(), 0);
+        for (r, cell) in lane.iter_mut().enumerate() {
+            let is_knocked = except.get(k).is_some_and(|&x| x as usize == r);
+            k += usize::from(is_knocked);
+            while except.get(k).is_some_and(|&x| x as usize == r) {
+                k += 1; // a duplicate entry
+            }
+            let is_msg = matches!(cell, Cell::Msg(_));
+            let is_inherit = matches!(cell, Cell::Inherit);
+            conflicts[kept] = r as u32;
+            kept += usize::from(is_msg && !is_knocked);
+            inherited += usize::from(is_inherit && !is_knocked && r != me);
+            if is_inherit && is_knocked {
+                *cell = Cell::Knocked;
+            }
+        }
+        conflicts.truncate(kept);
+        let bits = msg.bit_size();
+        row.base = Some(msg);
+        let mut traffic = self.traffic.row(me);
+        traffic.add(inherited, bits);
+        self.traffic.fold(me, traffic);
+    }
+
+    /// Moves the base out without cloning; the delivery stage uses it to
+    /// carry a pure broadcast into the arrivals mailbox.
+    fn take_broadcast(&mut self, sender: NodeId) -> Option<M> {
+        let me = sender.index();
+        if self.rows[me].dense {
+            return None;
+        }
+        let taken = self.rows[me].base.take()?;
+        self.traffic.fold(me, RowTraffic::default());
+        Some(taken)
+    }
+
+    fn broadcast_base(&self, sender: NodeId) -> Option<&M> {
+        self.rows[sender.index()].base.as_ref()
+    }
+
+    fn broadcast_of(&self, sender: NodeId) -> Option<&M> {
+        let row = &self.rows[sender.index()];
+        if row.dense {
+            None
+        } else {
+            row.base.as_ref()
+        }
+    }
+
+    fn resolve_value(&self, sender: NodeId, receiver: NodeId) -> Option<M> {
+        self.resolve(sender, receiver).cloned()
+    }
+
+    fn has_message(&self, sender: NodeId, receiver: NodeId) -> bool {
+        self.resolve(sender, receiver).is_some()
+    }
+
+    /// Walks the row's whole lane: O(n) per deviating sender.
+    fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<M>)> + '_ {
         let me = sender.index();
         let row = &self.rows[me];
         let lane = self.lane(me);
@@ -661,65 +455,25 @@ impl<M: Message> RoundMailbox<M> {
             .flatten()
     }
 
-    /// The message `receiver` gets from `sender` this round, if any.
-    pub fn resolve(&self, sender: NodeId, receiver: NodeId) -> Option<&M> {
-        let me = sender.index();
-        self.rows[me].effective(self.lane(me), receiver.index())
-    }
-
-    /// Whether `sender` sent nothing at all (to anyone, itself included).
-    pub fn is_silent(&self, sender: NodeId) -> bool {
-        self.is_silent_row(sender.index())
-    }
-
-    /// The broadcast message of `sender`, if it (purely) broadcast.
-    pub fn broadcast_of(&self, sender: NodeId) -> Option<&M> {
-        let row = &self.rows[sender.index()];
-        if row.dense {
-            None
-        } else {
-            row.base.as_ref()
-        }
-    }
-
-    /// Zero-allocation view of all messages addressed to `receiver`.
-    pub fn inbox(&self, receiver: NodeId) -> Inbox<'_, M> {
+    fn inbox(&self, receiver: NodeId) -> Inbox<'_, M> {
         Inbox::dense(self, receiver)
     }
 
-    /// Total point-to-point messages generated this round. O(1): the
-    /// counter is maintained incrementally.
-    pub fn message_count(&self) -> usize {
-        self.count
+    fn message_count(&self) -> usize {
+        self.traffic.message_count()
     }
 
-    /// Total bits on the wire this round. O(1).
-    pub fn total_bits(&self) -> usize {
-        self.bits
+    fn total_bits(&self) -> usize {
+        self.traffic.total_bits()
     }
 
-    /// The largest message crossing any single edge this round, in bits.
-    ///
-    /// Because each ordered pair of nodes exchanges at most one message
-    /// per round in this engine, this *is* the per-edge-per-round bit
-    /// maximum that the CONGEST model bounds. O(1) unless a mutation
-    /// lowered a row maximum since the last full write, in which case
-    /// the affected rows are rescanned.
-    pub fn max_edge_bits(&self) -> usize {
-        if !self.max_dirty {
-            return self.max_cache;
-        }
-        (0..self.rows.len())
-            .map(|s| self.rows[s].current_max(self.lane(s)))
-            .max()
-            .unwrap_or(0)
+    fn max_edge_bits(&self) -> usize {
+        self.traffic
+            .max_edge_bits(|s| self.rows[s].max_bits(self.lane(s)))
     }
 
-    /// `sender`'s countable messages and their bits this round. O(1):
-    /// the row counters are maintained incrementally.
-    pub(crate) fn row_traffic(&self, sender: NodeId) -> (usize, usize) {
-        let row = &self.rows[sender.index()];
-        (row.count, row.bits)
+    fn row_traffic(&self, sender: NodeId) -> (usize, usize) {
+        self.traffic.row_traffic(sender.index())
     }
 }
 
@@ -737,7 +491,7 @@ impl<M: Message> RoundMailbox<M> {
 /// additionally answers word-parallel threshold queries through
 /// [`Inbox::packed_match_count`]; the sparse backend reads through the
 /// plane's receiver index and panics if that index is stale (see
-/// [`MessagePlane::build_inbox_index`](crate::plane::MessagePlane::build_inbox_index)).
+/// [`MessagePlane::build_inbox_index`]).
 #[derive(Debug, Clone)]
 pub struct Inbox<'a, M> {
     backend: InboxBackend<'a, M>,
@@ -803,7 +557,8 @@ impl<A: Iterator<Item = T>, B: Iterator<Item = T>, C: Iterator<Item = T>, T> Ite
 }
 
 impl<'a, M: Message> Inbox<'a, M> {
-    /// A dense-backed inbox (constructed by [`RoundMailbox::inbox`]).
+    /// A dense-backed inbox (constructed by the dense plane's
+    /// `MessagePlane::inbox`).
     pub(crate) fn dense(mailbox: &'a RoundMailbox<M>, receiver: NodeId) -> Self {
         Inbox {
             backend: InboxBackend::Dense(mailbox),
@@ -846,8 +601,8 @@ impl<'a, M: Message> Inbox<'a, M> {
     pub fn n(&self) -> usize {
         match &self.backend {
             InboxBackend::Dense(mb) => mb.n,
-            InboxBackend::Packed { plane, .. } => plane.n(),
-            InboxBackend::Sparse(plane) => plane.n(),
+            InboxBackend::Packed { plane, .. } => plane.n,
+            InboxBackend::Sparse(plane) => plane.n,
         }
     }
 
@@ -1227,8 +982,14 @@ mod tests {
         assert_eq!(mb.message_count(), 0);
     }
 
+    /// Both max-edge scenarios, on all three planes: one replaces and
+    /// silences rows around a broadcast, the other only point-to-point
+    /// rows. `Var`'s packed code is its bit size.
     #[test]
     fn max_edge_bits_recovers_after_removals() {
+        use crate::packed::{PackedMailbox, PackedMessage};
+        use crate::sparse::SparseMailbox;
+
         #[derive(Debug, Clone, PartialEq, Eq)]
         struct Var(usize);
         impl Message for Var {
@@ -1236,20 +997,46 @@ mod tests {
                 self.0
             }
         }
-        let mut mb = RoundMailbox::new(3);
-        mb.set(id(0), Emission::Broadcast(Var(4)));
-        mb.set(
-            id(1),
-            Emission::PerRecipient(vec![(id(0), Var(32)), (id(2), Var(2))]),
-        );
-        assert_eq!(mb.max_edge_bits(), 32);
-        mb.insert(id(1), id(0), Var(2)); // replaces the 32-bit maximum
-        assert_eq!(mb.max_edge_bits(), 4);
-        mb.silence(id(0));
-        assert_eq!(mb.max_edge_bits(), 2);
-        mb.insert(id(2), id(1), Var(64));
-        assert_eq!(mb.max_edge_bits(), 64);
-        mb.insert(id(2), id(1), Var(1)); // replacement shrinks the edge
-        assert_eq!(mb.max_edge_bits(), 2);
+        impl PackedMessage for Var {
+            fn pack(&self) -> Option<u32> {
+                u32::try_from(self.0).ok()
+            }
+            fn unpack(code: u32) -> Self {
+                Var(code as usize)
+            }
+        }
+        fn drive<L: MessagePlane<Var>>() {
+            let plane = std::any::type_name::<L>();
+            let mut mb = L::default();
+            mb.reset(3);
+            mb.set(id(0), Emission::Broadcast(Var(4)));
+            mb.set(
+                id(1),
+                Emission::PerRecipient(vec![(id(0), Var(32)), (id(2), Var(2))]),
+            );
+            assert_eq!(mb.max_edge_bits(), 32, "{plane}");
+            mb.insert(id(1), id(0), Var(2)); // replaces the 32-bit maximum
+            assert_eq!(mb.max_edge_bits(), 4, "{plane}");
+            mb.silence(id(0));
+            assert_eq!(mb.max_edge_bits(), 2, "{plane}");
+            mb.insert(id(2), id(1), Var(64));
+            assert_eq!(mb.max_edge_bits(), 64, "{plane}");
+            mb.insert(id(2), id(1), Var(1)); // replacement shrinks the edge
+            assert_eq!(mb.max_edge_bits(), 2, "{plane}");
+
+            mb.reset(4);
+            mb.insert(id(0), id(1), Var(32));
+            mb.insert(id(1), id(2), Var(8));
+            assert_eq!(mb.max_edge_bits(), 32, "{plane}");
+            mb.insert(id(0), id(1), Var(2)); // replaces the 32-bit maximum
+            assert_eq!(mb.max_edge_bits(), 8, "{plane}");
+            mb.silence(id(1));
+            assert_eq!(mb.max_edge_bits(), 2, "{plane}");
+            mb.silence(id(0));
+            assert_eq!(mb.max_edge_bits(), 0, "{plane}");
+        }
+        drive::<RoundMailbox<Var>>();
+        drive::<PackedMailbox<Var>>();
+        drive::<SparseMailbox<Var>>();
     }
 }

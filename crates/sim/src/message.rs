@@ -40,101 +40,3 @@ pub enum Emission<M> {
     /// recipient override earlier ones.
     PerRecipient(Vec<(NodeId, M)>),
 }
-
-impl<M> Emission<M> {
-    /// True if nothing is sent.
-    pub fn is_silent(&self) -> bool {
-        match self {
-            Emission::Silent => true,
-            Emission::Broadcast(_) => false,
-            Emission::PerRecipient(v) => v.is_empty(),
-        }
-    }
-
-    /// Number of point-to-point messages this emission generates in an
-    /// `n`-node complete network (a broadcast costs `n - 1`: the self-copy
-    /// is local and free, matching how the paper counts messages).
-    pub fn message_count(&self, n: usize) -> usize {
-        match self {
-            Emission::Silent => 0,
-            Emission::Broadcast(_) => n.saturating_sub(1),
-            Emission::PerRecipient(v) => v.len(),
-        }
-    }
-}
-
-impl<M: Message> Emission<M> {
-    /// Total bits this emission puts on the wire in an `n`-node network.
-    pub fn total_bits(&self, n: usize) -> usize {
-        match self {
-            Emission::Silent => 0,
-            Emission::Broadcast(m) => m.bit_size() * n.saturating_sub(1),
-            Emission::PerRecipient(v) => v.iter().map(|(_, m)| m.bit_size()).sum(),
-        }
-    }
-
-    /// The largest single message in this emission, in bits.
-    pub fn max_bits(&self) -> usize {
-        match self {
-            Emission::Silent => 0,
-            Emission::Broadcast(m) => m.bit_size(),
-            Emission::PerRecipient(v) => v.iter().map(|(_, m)| m.bit_size()).max().unwrap_or(0),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[derive(Debug, Clone, PartialEq)]
-    struct TestMsg(u32);
-    impl Message for TestMsg {
-        fn bit_size(&self) -> usize {
-            32
-        }
-    }
-
-    #[test]
-    fn silent_counts_nothing() {
-        let e: Emission<TestMsg> = Emission::Silent;
-        assert!(e.is_silent());
-        assert_eq!(e.message_count(10), 0);
-        assert_eq!(e.total_bits(10), 0);
-        assert_eq!(e.max_bits(), 0);
-    }
-
-    #[test]
-    fn broadcast_counts_n_minus_one() {
-        let e = Emission::Broadcast(TestMsg(7));
-        assert!(!e.is_silent());
-        assert_eq!(e.message_count(10), 9);
-        assert_eq!(e.total_bits(10), 9 * 32);
-        assert_eq!(e.max_bits(), 32);
-    }
-
-    #[test]
-    fn per_recipient_counts_entries() {
-        let e = Emission::PerRecipient(vec![
-            (NodeId::new(1), TestMsg(0)),
-            (NodeId::new(2), TestMsg(1)),
-        ]);
-        assert!(!e.is_silent());
-        assert_eq!(e.message_count(10), 2);
-        assert_eq!(e.total_bits(10), 64);
-    }
-
-    #[test]
-    fn empty_per_recipient_is_silent() {
-        let e: Emission<TestMsg> = Emission::PerRecipient(vec![]);
-        assert!(e.is_silent());
-        assert_eq!(e.message_count(5), 0);
-    }
-
-    #[test]
-    fn broadcast_in_tiny_network() {
-        let e = Emission::Broadcast(TestMsg(0));
-        assert_eq!(e.message_count(1), 0);
-        assert_eq!(e.total_bits(0), 0);
-    }
-}

@@ -29,9 +29,11 @@
 //!   nothing.
 //!
 //! The plane reproduces the dense mailbox's observable semantics
-//! exactly — counting convention, replace/merge rules, inbox order —
-//! which `crates/sim/tests/packed_differential.rs` enforces over the
-//! whole mutation surface.
+//! exactly — replace/merge rules, inbox order — which
+//! `crates/sim/tests/packed_differential.rs` enforces over the whole
+//! mutation surface. Its counters are the crate's shared `traffic`
+//! ones, so the counting convention and the max-edge rule are the dense
+//! plane's by construction.
 //!
 //! # Codec contract
 //!
@@ -47,6 +49,7 @@ use crate::id::NodeId;
 use crate::mailbox::Inbox;
 use crate::message::{Emission, Message};
 use crate::plane::MessagePlane;
+use crate::traffic::{Held, RowTraffic, Traffic};
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
@@ -62,10 +65,10 @@ pub trait PackedMessage: Message + PartialEq {
 }
 
 /// Per-round cache of masked-count query bitsets (one bit per sender
-/// whose broadcast-base code matches), invalidated by any mutation.
+/// whose broadcast-base code matches), invalidated by any base change.
 #[derive(Debug, Default)]
 struct QueryCache {
-    /// Plane edit epoch the live entries were built against; a mismatch
+    /// Plane base epoch the live entries were built against; a mismatch
     /// with [`PackedMailbox::epoch`] means every entry is stale. Kept
     /// inside the lock so mutators never have to take it — they bump the
     /// plane epoch (a plain store through `&mut self`) instead.
@@ -85,7 +88,7 @@ fn lock_cache(m: &Mutex<QueryCache>) -> std::sync::MutexGuard<'_, QueryCache> {
 
 /// The bit-packed message plane. See the module docs for the layout.
 pub struct PackedMailbox<M> {
-    n: usize,
+    pub(crate) n: usize,
     /// Words per bitset lane: `ceil(n / 64)`.
     words: usize,
     /// Per-sender broadcast base, decoded (for by-reference access).
@@ -106,17 +109,11 @@ pub struct PackedMailbox<M> {
     col_has: Vec<u64>,
     /// Per-row explicit-cell codes, materialized on first deviation.
     codes: Vec<Vec<u32>>,
-    row_count: Vec<usize>,
-    row_bits: Vec<usize>,
-    row_max: Vec<usize>,
-    row_max_dirty: Vec<bool>,
-    count: usize,
-    bits: usize,
-    max_cache: usize,
-    max_dirty: bool,
-    /// Edit counter: bumped by every mutation (`begin_edit` / `reset`),
-    /// compared against [`QueryCache::built_epoch`] on the query path —
-    /// so invalidation is a plain increment, never a lock.
+    traffic: Traffic,
+    /// Base counter: bumped whenever a broadcast base changes
+    /// (`set_base`, `reset`) — the only state a cached query reads —
+    /// and compared against [`QueryCache::built_epoch`] on the query
+    /// path, so invalidation is a plain increment, never a lock.
     epoch: u64,
     queries: Mutex<QueryCache>,
 }
@@ -137,14 +134,7 @@ impl<M> Default for PackedMailbox<M> {
             col_dev: Vec::new(),
             col_has: Vec::new(),
             codes: Vec::new(),
-            row_count: Vec::new(),
-            row_bits: Vec::new(),
-            row_max: Vec::new(),
-            row_max_dirty: Vec::new(),
-            count: 0,
-            bits: 0,
-            max_cache: 0,
-            max_dirty: false,
+            traffic: Traffic::default(),
             epoch: 0,
             queries: Mutex::new(QueryCache::default()),
         }
@@ -155,8 +145,8 @@ impl<M> std::fmt::Debug for PackedMailbox<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PackedMailbox")
             .field("n", &self.n)
-            .field("count", &self.count)
-            .field("bits", &self.bits)
+            .field("count", &self.traffic.message_count())
+            .field("bits", &self.traffic.total_bits())
             .finish_non_exhaustive()
     }
 }
@@ -194,11 +184,6 @@ fn range_word(range: &Range<u32>, w: usize) -> u64 {
 // without decoding (used by `Inbox` whatever the message bound).
 // ---------------------------------------------------------------------
 impl<M: Message> PackedMailbox<M> {
-    /// Number of nodes in the network.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
     fn bit(&self, lane: &[u64], row: usize, idx: usize) -> bool {
         if lane.is_empty() {
             return false;
@@ -421,6 +406,7 @@ impl<M: PackedMessage> PackedMailbox<M> {
     }
 
     fn set_base(&mut self, s: usize, m: Option<M>) {
+        self.epoch = self.epoch.wrapping_add(1);
         match m {
             Some(m) => {
                 self.base_code[s] = Self::code_of(&m);
@@ -451,17 +437,11 @@ impl<M: PackedMessage> PackedMailbox<M> {
             self.dense[me] = false;
         }
         self.set_base(me, None);
-        self.row_count[me] = 0;
-        self.row_bits[me] = 0;
-        self.row_max[me] = 0;
-        self.row_max_dirty[me] = false;
     }
 
-    /// The exact row maximum, rescanning if a removal dirtied it.
-    fn row_current_max(&self, me: usize) -> usize {
-        if !self.row_max_dirty[me] {
-            return self.row_max[me];
-        }
+    /// The largest message row `me` delivers now: the walk a dirty
+    /// row's maximum is rescanned with.
+    fn row_max_bits(&self, me: usize) -> usize {
         let base_bits = self.base[me].as_ref().map_or(0, Message::bit_size);
         let dev_count: usize = if self.dense[me] {
             self.dev[me * self.words..(me + 1) * self.words]
@@ -489,114 +469,13 @@ impl<M: PackedMessage> PackedMailbox<M> {
         max
     }
 
-    /// Counter fold around a row edit, mirroring the dense
-    /// `edit_row`: subtract the row from the global counters, run the
-    /// edit, add it back, and track the max-cache validity.
-    fn begin_edit(&mut self, me: usize) -> usize {
-        self.epoch = self.epoch.wrapping_add(1);
-        self.count -= self.row_count[me];
-        self.bits -= self.row_bits[me];
-        // NOTE: the rescan result must NOT be memoized into
-        // `row_max[me]` (clearing the dirty flag): the mutators below
-        // deliberately leave `row_max` as an upper bound and count on
-        // the persistent dirty flag to force rescans — exactly like the
-        // dense rows, whose observable `max_edge_bits` stream the packed
-        // plane must reproduce bit-for-bit.
-        self.row_current_max(me)
-    }
-
-    fn end_edit(&mut self, me: usize, old_max: usize) {
-        self.count += self.row_count[me];
-        self.bits += self.row_bits[me];
-        if self.row_max_dirty[me] || self.row_max[me] < old_max {
-            self.max_dirty = true;
-        } else if !self.max_dirty {
-            self.max_cache = self.max_cache.max(self.row_max[me]);
+    /// What receiver `r` gets from row `me`, as the counters see it.
+    fn held(&self, me: usize, r: usize) -> Held {
+        match (self.cell_state(me, r), &self.base[me]) {
+            (CellState::Code(code), _) => Held::Explicit(Self::bit_size_of_code(code)),
+            (CellState::Knocked, _) | (CellState::Inherit, None) => Held::Nothing,
+            (CellState::Inherit, Some(base)) => Held::Base(base.bit_size()),
         }
-    }
-
-    /// `(counted, bits)` contribution of receiver `r` in row `me` — the
-    /// base self-copy is free, explicit messages are not.
-    fn contribution(&self, me: usize, r: usize) -> (bool, usize) {
-        let via_base = matches!(self.cell_state(me, r), CellState::Inherit);
-        match self.effective_code(me, r) {
-            None => (false, 0),
-            Some(code) => {
-                if via_base && r == me {
-                    (false, 0)
-                } else if via_base {
-                    (true, self.base[me].as_ref().map_or(0, Message::bit_size))
-                } else {
-                    (true, Self::bit_size_of_code(code))
-                }
-            }
-        }
-    }
-
-    fn is_silent_row(&self, me: usize) -> bool {
-        self.row_count[me] == 0 && self.effective_code(me, me).is_none()
-    }
-
-    /// Installs `code` (a `bs`-bit message) at every vacant pair of row
-    /// `me` named in `receivers`, in order; compacts the busy receivers
-    /// to the front and returns how many it installed. The code, the bit
-    /// size and the epoch bump are paid once per call, not per receiver.
-    ///
-    /// Direct counter path, skipping the `begin_edit` fold: a pure add
-    /// can never lower the row maximum, so no `old_max` snapshot is
-    /// needed — and crucially no dirty-row rescan. Paying
-    /// `row_current_max`'s full-row decode on every requeued delivery
-    /// after a knock-out dirtied the row is what made BoundedDelay
-    /// slower packed than dense. A dirty row implies the global cache is
-    /// already dirty (`end_edit` propagates row dirt and nothing clears
-    /// it until reset), so when `!max_dirty` the row maximum is exact
-    /// and the cache update is sound.
-    fn fill_vacant(&mut self, me: usize, receivers: &mut [u32], code: u32, bs: usize) -> usize {
-        if receivers.is_empty() || (!self.dense[me] && self.base[me].is_some()) {
-            return 0; // nothing offered, or a pure broadcast: every pair is occupied
-        }
-        let has_base = self.base[me].is_some();
-        // A row that was not dense has no deviation bits, so every cell
-        // still reads `Inherit` once its lanes are live.
-        self.ensure_dense(me);
-        let words = self.words;
-        let (col_word, col_bit) = (me / 64, 1u64 << (me % 64));
-        let mut busy = 0;
-        for i in 0..receivers.len() {
-            let r = receivers[i] as usize;
-            let (w, bit) = (me * words + r / 64, 1u64 << (r % 64));
-            // Inherit is vacant without a base, Knocked always, a code never.
-            let vacant = if self.dev[w] & bit == 0 {
-                !has_base
-            } else {
-                self.has[w] & bit == 0
-            };
-            if vacant {
-                // An explicit message always counts (even a self-copy).
-                self.dev[w] |= bit;
-                self.has[w] |= bit;
-                self.col_dev[r * words + col_word] |= col_bit;
-                self.col_has[r * words + col_word] |= col_bit;
-                self.codes[me][r] = code;
-            } else {
-                receivers[busy] = r as u32;
-                busy += 1;
-            }
-        }
-        let installed = receivers.len() - busy;
-        if installed > 0 {
-            self.epoch = self.epoch.wrapping_add(1);
-            self.row_count[me] += installed;
-            self.row_bits[me] += installed * bs;
-            self.row_max[me] = self.row_max[me].max(bs);
-            let row_max = self.row_max[me];
-            self.count += installed;
-            self.bits += installed * bs;
-            if !self.max_dirty {
-                self.max_cache = self.max_cache.max(row_max);
-            }
-        }
-        installed
     }
 }
 
@@ -621,14 +500,6 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
             self.dense.resize(n, false);
             self.codes.clear();
             self.codes.resize_with(n, Vec::new);
-            self.row_count.clear();
-            self.row_count.resize(n, 0);
-            self.row_bits.clear();
-            self.row_bits.resize(n, 0);
-            self.row_max.clear();
-            self.row_max.resize(n, 0);
-            self.row_max_dirty.clear();
-            self.row_max_dirty.resize(n, false);
             self.n = n;
         } else if self.dense.iter().any(|d| *d) {
             // Same size, deviated rows present: sequential memsets over
@@ -645,21 +516,14 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
             for b in &mut self.base {
                 *b = None;
             }
-            self.row_count.fill(0);
-            self.row_bits.fill(0);
-            self.row_max.fill(0);
-            self.row_max_dirty.fill(false);
         } else {
             for me in 0..n {
-                if self.base[me].is_some() || self.row_max_dirty[me] {
-                    self.clear_row(me);
+                if self.base[me].is_some() {
+                    self.set_base(me, None);
                 }
             }
         }
-        self.count = 0;
-        self.bits = 0;
-        self.max_cache = 0;
-        self.max_dirty = false;
+        self.traffic.reset(n);
     }
 
     fn n(&self) -> usize {
@@ -669,113 +533,107 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
     fn set(&mut self, sender: NodeId, emission: Emission<M>) {
         let me = sender.index();
         match emission {
-            Emission::Silent => MessagePlane::silence(self, sender),
+            Emission::Silent => self.silence(sender),
             Emission::Broadcast(m) => {
-                let old_max = self.begin_edit(me);
+                let bits = m.bit_size();
                 self.clear_row(me);
-                let bs = m.bit_size();
-                self.row_count[me] = self.n.saturating_sub(1);
-                self.row_bits[me] = bs * self.row_count[me];
-                self.row_max[me] = bs;
                 self.set_base(me, Some(m));
-                self.end_edit(me, old_max);
+                self.traffic
+                    .fold(me, RowTraffic::broadcast(self.n, 0, bits));
             }
             Emission::PerRecipient(v) => {
                 if v.is_empty() {
-                    return MessagePlane::silence(self, sender);
+                    return self.silence(sender);
                 }
-                let old_max = self.begin_edit(me);
                 self.clear_row(me);
                 self.ensure_dense(me);
+                let mut traffic = RowTraffic::default();
                 for (to, m) in v {
-                    // Later entries override earlier ones.
-                    let bs = m.bit_size();
+                    let bits = m.bit_size();
                     let code = Self::code_of(&m);
                     let r = to.index();
                     match self.cell_state(me, r) {
-                        CellState::Inherit | CellState::Knocked => {
-                            self.row_count[me] += 1;
-                            self.row_bits[me] += bs;
-                        }
+                        CellState::Inherit | CellState::Knocked => traffic.add(1, bits),
                         CellState::Code(old) => {
-                            self.row_bits[me] += bs;
-                            self.row_bits[me] -= Self::bit_size_of_code(old);
-                            // The overridden duplicate may have held the
-                            // running maximum; rescan lazily.
-                            self.row_max_dirty[me] = true;
+                            traffic.supersede(Self::bit_size_of_code(old), bits);
                         }
                     }
                     self.set_dev(me, r, true);
                     self.set_has(me, r, true);
                     self.codes[me][r] = code;
-                    self.row_max[me] = self.row_max[me].max(bs);
                 }
-                self.end_edit(me, old_max);
+                self.traffic.fold(me, traffic);
             }
         }
     }
 
     fn silence(&mut self, sender: NodeId) {
         let me = sender.index();
-        let old_max = self.begin_edit(me);
         self.clear_row(me);
-        self.end_edit(me, old_max);
+        self.traffic.fold(me, RowTraffic::default());
     }
 
     fn insert(&mut self, sender: NodeId, receiver: NodeId, m: M) {
         let me = sender.index();
         let r = receiver.index();
-        let old_max = self.begin_edit(me);
         self.ensure_dense(me);
-        let (counted, old_bits) = self.contribution(me, r);
-        let bs = m.bit_size();
+        let held = self.held(me, r);
         let code = Self::code_of(&m);
         self.set_dev(me, r, true);
         self.set_has(me, r, true);
         self.codes[me][r] = code;
-        if counted {
-            self.row_bits[me] -= old_bits;
-            self.row_count[me] -= 1;
-            if old_bits >= bs && old_bits == self.row_max[me] {
-                self.row_max_dirty[me] = true;
+        self.traffic.replace(me, r, held, m.bit_size());
+    }
+
+    /// The code and the bit size are paid once per call, not per
+    /// receiver, and the counters take the pure-add path: no dirty-row
+    /// rescan, whatever earlier edits left in the row.
+    fn insert_group_if_vacant(&mut self, sender: NodeId, receivers: &mut [u32], msg: &M) -> usize {
+        let me = sender.index();
+        if receivers.is_empty() || (!self.dense[me] && self.base[me].is_some()) {
+            return 0; // nothing offered, or a pure broadcast: every pair is occupied
+        }
+        let code = Self::code_of(msg);
+        let has_base = self.base[me].is_some();
+        // A row that was not dense has no deviation bits, so every cell
+        // still reads `Inherit` once its lanes are live.
+        self.ensure_dense(me);
+        let words = self.words;
+        let (col_word, col_bit) = (me / 64, 1u64 << (me % 64));
+        let mut busy = 0;
+        for i in 0..receivers.len() {
+            let r = receivers[i] as usize;
+            let (w, bit) = (me * words + r / 64, 1u64 << (r % 64));
+            // Inherit is vacant without a base, Knocked always, a code never.
+            let vacant = if self.dev[w] & bit == 0 {
+                !has_base
+            } else {
+                self.has[w] & bit == 0
+            };
+            if vacant {
+                self.dev[w] |= bit;
+                self.has[w] |= bit;
+                self.col_dev[r * words + col_word] |= col_bit;
+                self.col_has[r * words + col_word] |= col_bit;
+                self.codes[me][r] = code;
+            } else {
+                receivers[busy] = r as u32;
+                busy += 1;
             }
         }
-        self.row_count[me] += 1;
-        self.row_bits[me] += bs;
-        self.row_max[me] = self.row_max[me].max(bs);
-        self.end_edit(me, old_max);
-    }
-
-    fn insert_if_vacant(&mut self, sender: NodeId, receiver: NodeId, m: M) -> Option<M> {
-        let installed = self.fill_vacant(
-            sender.index(),
-            &mut [receiver.raw()],
-            Self::code_of(&m),
-            m.bit_size(),
-        );
-        (installed == 0).then_some(m)
-    }
-
-    fn insert_group_if_vacant(&mut self, sender: NodeId, receivers: &mut [u32], msg: &M) -> usize {
-        self.fill_vacant(
-            sender.index(),
-            receivers,
-            Self::code_of(msg),
-            msg.bit_size(),
-        )
+        let installed = receivers.len() - busy;
+        self.traffic.add(me, installed, msg.bit_size());
+        installed
     }
 
     fn set_broadcast_except(&mut self, sender: NodeId, msg: M, except: &[u32]) {
         let me = sender.index();
         if except.is_empty() {
-            return MessagePlane::set(self, sender, Emission::Broadcast(msg));
+            return self.set(sender, Emission::Broadcast(msg));
         }
-        let old_max = self.begin_edit(me);
         self.clear_row(me);
         self.ensure_dense(me);
-        let bs = msg.bit_size();
-        self.row_max[me] = bs;
-        self.row_count[me] = self.n.saturating_sub(1);
+        let mut knocked = 0;
         // The row was just cleared, so a cell is knocked iff its dev bit
         // is set — and the delivery stage hands us `except` in ascending
         // receiver order, which lets runs sharing a lane word fold into
@@ -793,9 +651,7 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
                     if word & bit == 0 {
                         word |= bit;
                         self.col_dev[r * words + me / 64] |= 1u64 << (me % 64);
-                        if r != me {
-                            self.row_count[me] -= 1;
-                        }
+                        knocked += usize::from(r != me);
                     }
                     i += 1;
                 }
@@ -806,15 +662,14 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
                 let r = r as usize;
                 if !matches!(self.cell_state(me, r), CellState::Knocked) {
                     self.set_dev(me, r, true);
-                    if r != me {
-                        self.row_count[me] -= 1;
-                    }
+                    knocked += usize::from(r != me);
                 }
             }
         }
-        self.row_bits[me] = bs * self.row_count[me];
+        let bits = msg.bit_size();
         self.set_base(me, Some(msg));
-        self.end_edit(me, old_max);
+        self.traffic
+            .fold(me, RowTraffic::broadcast(self.n, knocked, bits));
     }
 
     fn merge_broadcast_except(
@@ -826,13 +681,11 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
     ) {
         let me = sender.index();
         debug_assert!(except.windows(2).all(|w| w[0] <= w[1]), "except not sorted");
-        let old_max = self.begin_edit(me);
         assert!(
             self.base[me].is_none(),
             "merge_broadcast_except over an existing broadcast base"
         );
         self.ensure_dense(me);
-        let bs = msg.bit_size();
         let mut k = 0usize;
         let mut inherited = 0usize;
         for r in 0..self.n {
@@ -857,23 +710,21 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
                 }
             }
         }
-        self.row_count[me] += inherited;
-        self.row_bits[me] += inherited * bs;
-        self.row_max[me] = self.row_max[me].max(bs);
+        let mut traffic = self.traffic.row(me);
+        traffic.add(inherited, msg.bit_size());
         self.set_base(me, Some(msg));
-        self.end_edit(me, old_max);
+        self.traffic.fold(me, traffic);
     }
 
     fn take_broadcast(&mut self, sender: NodeId) -> Option<M> {
         let me = sender.index();
-        if self.dense[me] || self.base[me].is_none() {
+        if self.dense[me] {
             return None;
         }
-        let old_max = self.begin_edit(me);
-        let taken = self.base[me].take();
+        let taken = self.base[me].take()?;
         self.clear_row(me);
-        self.end_edit(me, old_max);
-        taken
+        self.traffic.fold(me, RowTraffic::default());
+        Some(taken)
     }
 
     fn broadcast_base(&self, sender: NodeId) -> Option<&M> {
@@ -902,10 +753,6 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
     fn has_message(&self, sender: NodeId, receiver: NodeId) -> bool {
         self.effective_code(sender.index(), receiver.index())
             .is_some()
-    }
-
-    fn is_silent(&self, sender: NodeId) -> bool {
-        self.is_silent_row(sender.index())
     }
 
     fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<M>)> + '_ {
@@ -938,26 +785,19 @@ impl<M: PackedMessage> MessagePlane<M> for PackedMailbox<M> {
     }
 
     fn message_count(&self) -> usize {
-        self.count
+        self.traffic.message_count()
     }
 
     fn total_bits(&self) -> usize {
-        self.bits
+        self.traffic.total_bits()
     }
 
     fn max_edge_bits(&self) -> usize {
-        if !self.max_dirty {
-            return self.max_cache;
-        }
-        (0..self.n)
-            .map(|s| self.row_current_max(s))
-            .max()
-            .unwrap_or(0)
+        self.traffic.max_edge_bits(|s| self.row_max_bits(s))
     }
 
     fn row_traffic(&self, sender: NodeId) -> (usize, usize) {
-        let me = sender.index();
-        (self.row_count[me], self.row_bits[me])
+        self.traffic.row_traffic(sender.index())
     }
 }
 

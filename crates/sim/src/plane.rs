@@ -5,14 +5,15 @@
 //! and hand receivers an inbox. [`MessagePlane`] captures exactly that
 //! contract, mirroring the Delivery/Oracle/Probe seams: a sixth generic
 //! parameter on [`crate::Simulation`] defaulting to the dense
-//! [`RoundMailbox`], chosen statically per protocol family, so the
-//! default path compiles to the very same code it always did.
+//! [`RoundMailbox`](crate::mailbox::RoundMailbox), chosen statically per
+//! protocol family, so the default path compiles to the very same code
+//! it always did.
 //!
 //! Three planes implement the trait:
 //!
-//! * [`RoundMailbox`] — the dense broadcast-base + deviation-cell
-//!   mailbox (PR 3). General: any [`Message`] type, full by-reference
-//!   access. This is the default.
+//! * [`crate::mailbox::RoundMailbox`] — the dense broadcast-base +
+//!   deviation-cell mailbox (PR 3). General: any [`Message`] type, full
+//!   by-reference access. This is the default.
 //! * [`crate::packed::PackedMailbox`] — u64-word bitset rows for
 //!   messages that fit a 32-bit code ([`crate::packed::PackedMessage`]),
 //!   with word-parallel popcount tallies. Binary-BA protocols opt in
@@ -25,12 +26,15 @@
 //! # Semantics contract
 //!
 //! Every implementation must reproduce the dense mailbox's observable
-//! behaviour exactly — same counting convention (a broadcast is `n - 1`
-//! messages, the local self-copy is free, an explicit self-message
-//! counts), same replace/merge rules, same inbox contents in the same
-//! sender order. The packed-vs-dense and sparse-vs-dense differential
-//! tests drive the planes through this whole surface and compare every
-//! observable after every mutation.
+//! behaviour exactly — same replace/merge rules, same inbox contents in
+//! the same sender order. The packed-vs-dense and sparse-vs-dense
+//! differential tests drive the planes through this whole surface and
+//! compare every observable after every mutation. The counters are
+//! shared rather than reproduced: every plane reports its row edits to
+//! one `traffic` module, which holds the counting convention (a
+//! broadcast is `n - 1` messages, the local self-copy is free, an
+//! explicit self-message counts, a later per-recipient entry replaces
+//! an earlier one) and the max-edge dirty rule.
 //!
 //! A plane knows nothing of the probes: the provenance seam's arrival
 //! scan ([`crate::arrivals`]) is built for every plane in one place,
@@ -42,56 +46,76 @@
 //! step.
 
 use crate::id::NodeId;
-use crate::mailbox::{Inbox, RoundMailbox};
+use crate::mailbox::Inbox;
 use crate::message::{Emission, Message};
 
 /// A per-round message store, as the engine and the delivery stage see
 /// it.
 ///
 /// `Default` must produce an empty zero-node plane (the pooling
-/// placeholder); [`MessagePlane::reset`] sizes it. All methods mirror
-/// the inherent [`RoundMailbox`] API — see those docs for the precise
-/// semantics each implementation must reproduce.
+/// placeholder); [`MessagePlane::reset`] sizes it. The docs below are
+/// the contract every implementation reproduces.
+///
+/// Methods that name a node panic when it is out of range.
 pub trait MessagePlane<M: Message>: Default {
     /// Empties the plane and (re)sizes it for an `n`-node network,
-    /// retaining allocations for pooling.
+    /// retaining allocations so that a pooled plane allocates nothing
+    /// per round after warm-up.
     fn reset(&mut self, n: usize);
 
     /// Number of nodes in the network.
     fn n(&self) -> usize;
 
     /// Installs `emission` as `sender`'s contribution, replacing
-    /// whatever was there.
+    /// whatever was there (used both for honest emissions and for the
+    /// adversary overriding a freshly corrupted node's message). A later
+    /// per-recipient entry for a receiver overrides an earlier one.
     fn set(&mut self, sender: NodeId, emission: Emission<M>);
 
     /// Removes `sender`'s contribution entirely.
     fn silence(&mut self, sender: NodeId);
 
-    /// Adds a single point-to-point message, replacing an existing one
-    /// for the same pair.
+    /// Adds a single point-to-point message, merging with whatever
+    /// `sender` already has: an existing message for the same pair is
+    /// replaced, and the other receivers of a broadcast keep the shared
+    /// copy — the broadcast is not expanded into per-recipient clones.
     fn insert(&mut self, sender: NodeId, receiver: NodeId, m: M);
-
-    /// Inserts `m` only if the pair is vacant, handing `m` back when
-    /// the link is busy.
-    fn insert_if_vacant(&mut self, sender: NodeId, receiver: NodeId, m: M) -> Option<M>;
 
     /// Installs a clone of `msg` from `sender` at every receiver in
     /// `receivers` whose pair is vacant, in order, and returns how many
     /// it installed. The busy receivers are compacted, in order, to the
     /// front of `receivers`: the first `receivers.len() - installed`
-    /// entries are the ones left over. Same outcome as one
-    /// [`MessagePlane::insert_if_vacant`] per receiver, for one row
-    /// lookup and one counter update — the flight queue's drain
-    /// primitive, one call per flight group.
+    /// entries are the ones left over. A pair is vacant when it holds no
+    /// message: the row has no base and no explicit message there, or
+    /// the receiver was knocked out. One row lookup and one counter
+    /// update per call, with `msg` cloned per installed receiver only —
+    /// the flight queue's drain primitive, one call per flight group,
+    /// and the delivery stage's merge of a fresh point-to-point message
+    /// as a group of one.
     fn insert_group_if_vacant(&mut self, sender: NodeId, receivers: &mut [u32], msg: &M) -> usize;
 
-    /// Installs a broadcast that skips the receivers in `except`.
+    /// Installs a broadcast of `msg` that skips the receivers in
+    /// `except` — the delivery stage's way of storing "this broadcast
+    /// reached everyone but these" as one shared copy instead of `n - 1`
+    /// clones. Replaces whatever the row held. Duplicate entries in
+    /// `except` are tolerated; `sender`'s free self-copy is unaffected
+    /// unless explicitly listed.
     fn set_broadcast_except(&mut self, sender: NodeId, msg: M, except: &[u32]);
 
-    /// Layers a broadcast *under* the row's existing point-to-point
-    /// messages; receivers that already hold one are appended to
-    /// `conflicts`. `except` must be sorted ascending; the row must not
-    /// already hold a base.
+    /// Layers a broadcast of `msg` *under* the row's existing
+    /// point-to-point messages: receivers with no message and no
+    /// `except` entry now inherit the shared base (one copy, no clones);
+    /// receivers that already hold a message keep it and are appended to
+    /// `conflicts`, ascending, so the caller can re-route the fresh copy.
+    /// The delivery stage uses this when older in-flight traffic has
+    /// already landed on a broadcasting sender's row — the old message
+    /// wins the link, exactly as in the flight queue's FIFO rule.
+    ///
+    /// `except` must be sorted ascending (duplicates are tolerated).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the row already holds a broadcast base.
     fn merge_broadcast_except(
         &mut self,
         sender: NodeId,
@@ -100,12 +124,16 @@ pub trait MessagePlane<M: Message>: Default {
         conflicts: &mut Vec<u32>,
     );
 
-    /// Removes and returns `sender`'s *pure* broadcast message, leaving
-    /// the row silent; `None` for any other row shape.
+    /// Removes and returns `sender`'s *pure* broadcast message (no
+    /// knock-outs, no overrides), leaving the row silent; `None` for any
+    /// other row shape. The delivery stage moves the base into the
+    /// arrivals plane with it, without cloning.
     fn take_broadcast(&mut self, sender: NodeId) -> Option<M>;
 
     /// The row's shared broadcast base, if any — present even when
-    /// receivers have been knocked out or overridden.
+    /// receivers have been knocked out or overridden (unlike
+    /// [`MessagePlane::broadcast_of`], which only reports *pure*
+    /// broadcasts).
     fn broadcast_base(&self, sender: NodeId) -> Option<&M>;
 
     /// The broadcast message of `sender`, if it (purely) broadcast.
@@ -120,7 +148,9 @@ pub trait MessagePlane<M: Message>: Default {
 
     /// Whether `sender` sent nothing at all (to anyone, itself
     /// included).
-    fn is_silent(&self, sender: NodeId) -> bool;
+    fn is_silent(&self, sender: NodeId) -> bool {
+        self.row_traffic(sender).0 == 0 && !self.has_message(sender, sender)
+    }
 
     /// `sender`'s deviations from its broadcast base, by value and in
     /// ascending receiver order: `(receiver, None)` for a knock-out,
@@ -144,19 +174,24 @@ pub trait MessagePlane<M: Message>: Default {
     /// call.
     fn build_inbox_index(&mut self) {}
 
-    /// View of all messages addressed to `receiver`. Reading a sparse
-    /// plane's inbox needs a current index
+    /// Zero-allocation view of all messages addressed to `receiver`.
+    /// Reading a sparse plane's inbox needs a current index
     /// ([`MessagePlane::build_inbox_index`]).
     fn inbox(&self, receiver: NodeId) -> Inbox<'_, M>;
 
-    /// Total point-to-point messages this round (see the counting
-    /// convention in the [`crate::mailbox`] docs).
+    /// Total point-to-point messages this round, under the counting
+    /// convention in the module docs. O(1).
     fn message_count(&self) -> usize;
 
-    /// Total bits on the wire this round.
+    /// Total bits on the wire this round. O(1).
     fn total_bits(&self) -> usize;
 
-    /// The largest message crossing any single edge this round.
+    /// The largest message crossing any single edge this round, in
+    /// bits. Because each ordered pair of nodes exchanges at most one
+    /// message per round, this *is* the per-edge-per-round maximum that
+    /// the CONGEST model bounds. O(1) unless a mutation lowered a row
+    /// maximum since the reset, in which case the affected rows are
+    /// rescanned.
     fn max_edge_bits(&self) -> usize;
 
     /// `sender`'s countable messages and their bits this round, under
@@ -166,101 +201,10 @@ pub trait MessagePlane<M: Message>: Default {
     fn row_traffic(&self, sender: NodeId) -> (usize, usize);
 }
 
-impl<M: Message> MessagePlane<M> for RoundMailbox<M> {
-    fn reset(&mut self, n: usize) {
-        RoundMailbox::reset(self, n);
-    }
-
-    fn n(&self) -> usize {
-        RoundMailbox::n(self)
-    }
-
-    fn set(&mut self, sender: NodeId, emission: Emission<M>) {
-        RoundMailbox::set(self, sender, emission);
-    }
-
-    fn silence(&mut self, sender: NodeId) {
-        RoundMailbox::silence(self, sender);
-    }
-
-    fn insert(&mut self, sender: NodeId, receiver: NodeId, m: M) {
-        RoundMailbox::insert(self, sender, receiver, m);
-    }
-
-    fn insert_if_vacant(&mut self, sender: NodeId, receiver: NodeId, m: M) -> Option<M> {
-        RoundMailbox::insert_if_vacant(self, sender, receiver, m)
-    }
-
-    fn insert_group_if_vacant(&mut self, sender: NodeId, receivers: &mut [u32], msg: &M) -> usize {
-        RoundMailbox::insert_group_if_vacant(self, sender, receivers, msg)
-    }
-
-    fn set_broadcast_except(&mut self, sender: NodeId, msg: M, except: &[u32]) {
-        RoundMailbox::set_broadcast_except(self, sender, msg, except);
-    }
-
-    fn merge_broadcast_except(
-        &mut self,
-        sender: NodeId,
-        msg: M,
-        except: &[u32],
-        conflicts: &mut Vec<u32>,
-    ) {
-        RoundMailbox::merge_broadcast_except(self, sender, msg, except, conflicts);
-    }
-
-    fn take_broadcast(&mut self, sender: NodeId) -> Option<M> {
-        RoundMailbox::take_broadcast(self, sender)
-    }
-
-    fn broadcast_base(&self, sender: NodeId) -> Option<&M> {
-        RoundMailbox::broadcast_base(self, sender)
-    }
-
-    fn broadcast_of(&self, sender: NodeId) -> Option<&M> {
-        RoundMailbox::broadcast_of(self, sender)
-    }
-
-    fn resolve_value(&self, sender: NodeId, receiver: NodeId) -> Option<M> {
-        self.resolve(sender, receiver).cloned()
-    }
-
-    fn has_message(&self, sender: NodeId, receiver: NodeId) -> bool {
-        self.resolve(sender, receiver).is_some()
-    }
-
-    fn is_silent(&self, sender: NodeId) -> bool {
-        RoundMailbox::is_silent(self, sender)
-    }
-
-    fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<M>)> + '_ {
-        RoundMailbox::deviations(self, sender)
-    }
-
-    fn inbox(&self, receiver: NodeId) -> Inbox<'_, M> {
-        RoundMailbox::inbox(self, receiver)
-    }
-
-    fn message_count(&self) -> usize {
-        RoundMailbox::message_count(self)
-    }
-
-    fn total_bits(&self) -> usize {
-        RoundMailbox::total_bits(self)
-    }
-
-    fn max_edge_bits(&self) -> usize {
-        RoundMailbox::max_edge_bits(self)
-    }
-
-    fn row_traffic(&self, sender: NodeId) -> (usize, usize) {
-        RoundMailbox::row_traffic(self, sender)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mailbox::RoundMailbox;
 
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Tm(u8);
@@ -270,9 +214,9 @@ mod tests {
         }
     }
 
-    /// The trait forwards to the dense mailbox without changing any
-    /// observable: a quick spot check (the differential test covers the
-    /// packed plane against this same surface).
+    /// The dense plane's trait surface: a quick spot check (the
+    /// differential tests cover the packed and sparse planes against
+    /// this same surface).
     #[test]
     fn dense_plane_forwards_to_inherent_api() {
         fn drive<L: MessagePlane<Tm>>(plane: &mut L) -> (usize, usize, usize, bool) {

@@ -81,6 +81,7 @@ mod tests {
     #[test]
     fn trait_is_usable_directly() {
         use crate::mailbox::RoundMailbox;
+        use crate::plane::MessagePlane;
         use rand::SeedableRng;
 
         let mut node = Echo {

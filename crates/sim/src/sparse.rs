@@ -32,7 +32,7 @@
 //!   capacity doubled; its old range becomes vacant. Doubling makes the
 //!   moves amortized O(1) per inserted cell. Clearing a row keeps its
 //!   range as slack for a later refill.
-//! * **Reset.** [`SparseMailbox::reset`] clears the arena and the rows
+//! * **Reset.** [`MessagePlane::reset`] clears the arena and the rows
 //!   it touched, keeping every allocation, so a pooled plane allocates
 //!   nothing per round after warm-up.
 //!
@@ -42,14 +42,14 @@
 //! rows that hold a broadcast base; a **CSR index** — `offsets[n + 1]`
 //! plus `(sender, slot)` entries — names every deviation cell per
 //! receiver in ascending sender order. The index is built **once per
-//! round** by [`SparseMailbox::build_inbox_index`] (the engine calls it
-//! through [`MessagePlane::build_inbox_index`] between delivery and
-//! receive): a counting sort over the arena, two linear passes. If any
-//! row was appended after a higher sender's, each receiver's entries are
-//! then sorted by sender, so the order never depends on the edit
-//! history. **Any mutation invalidates the index**, and the sparse
-//! inbox reads ([`Inbox::iter`], [`Inbox::from`], [`Inbox::len`]) assert
-//! that it is current — a stale index can never be read silently.
+//! round** by [`MessagePlane::build_inbox_index`], which the engine calls
+//! between delivery and receive: a counting sort over the arena, two
+//! linear passes. If any row was appended after a higher sender's, each
+//! receiver's entries are then sorted by sender, so the order never
+//! depends on the edit history. **Any mutation invalidates the index**,
+//! and the sparse inbox reads ([`Inbox::iter`], [`Inbox::from`],
+//! [`Inbox::len`]) assert that it is current — a stale index can never
+//! be read silently.
 //!
 //! # Complexity and memory
 //!
@@ -66,25 +66,20 @@
 //!
 //! # Semantics contract
 //!
-//! Every observable — counters, dirty-flag behaviour of
-//! [`max_edge_bits`](SparseMailbox::max_edge_bits), replace/merge
-//! rules, inbox order, the recording view — reproduces the dense
-//! mailbox exactly, including its counting convention (a broadcast is
-//! `n − 1` messages, the local self-copy is free, an explicit
-//! self-message counts). The `sparse_differential` integration test
-//! drives both planes through the whole mutation surface and compares
-//! every observable after every step, mirroring `packed_differential`.
-//!
-//! Like the packed plane, a mutation that may have *lowered* a row
-//! maximum only marks the row dirty; readers rescan on demand and the
-//! rescan result is deliberately **not** memoized back into the row —
-//! the persistent dirty flag reproduces the dense plane's observable
-//! `max_edge_bits` stream bit-for-bit.
+//! Every observable — replace/merge rules, inbox order, the recording
+//! view — reproduces the dense mailbox exactly. The `sparse_differential`
+//! integration test drives both planes through the whole mutation
+//! surface and compares every observable after every step, mirroring
+//! `packed_differential`. The counters are the crate's shared
+//! `traffic` ones, so the counting convention and the
+//! max-edge dirty rule are the dense plane's by construction; a dirty
+//! row's maximum is rescanned from its cells.
 
 use crate::id::NodeId;
 use crate::mailbox::Inbox;
 use crate::message::{Emission, Message};
 use crate::plane::MessagePlane;
+use crate::traffic::{Held, RowTraffic, Traffic};
 
 /// One receiver's explicit deviation from the row's broadcast base.
 /// Absence of a cell means the receiver inherits the base (or nothing).
@@ -128,7 +123,7 @@ struct SparseRow<M> {
     /// the sparse mirror of the dense row's `dense` flag. A row can be
     /// deviated with no cells (e.g. after a merge over a silent row),
     /// and that state is observable: it makes the row impure for
-    /// [`SparseMailbox::broadcast_of`] / `take_broadcast`.
+    /// [`MessagePlane::broadcast_of`] / `take_broadcast`.
     deviated: bool,
     /// First arena slot of the row's range.
     start: u32,
@@ -137,17 +132,6 @@ struct SparseRow<M> {
     len: u32,
     /// Reserved slots; `arena[start + len..start + cap]` is vacant.
     cap: u32,
-    /// Countable messages in this row (see the counting convention).
-    count: usize,
-    /// Total bits of the counted messages.
-    bits: usize,
-    /// Largest message present in this row, in bits. Exact unless
-    /// `max_dirty`.
-    max_bits: usize,
-    /// Set when a mutation removed or shrank a message that may have
-    /// held the row maximum; readers rescan the row's cells on demand
-    /// (and never memoize the result — see the module docs).
-    max_dirty: bool,
 }
 
 impl<M> Default for SparseRow<M> {
@@ -158,10 +142,6 @@ impl<M> Default for SparseRow<M> {
             start: 0,
             len: 0,
             cap: 0,
-            count: 0,
-            bits: 0,
-            max_bits: 0,
-            max_dirty: false,
         }
     }
 }
@@ -197,30 +177,21 @@ impl<M: Message> SparseRow<M> {
         }
     }
 
-    /// `(counted, bits)` contribution of receiver `r` for a row owned
-    /// by sender `me` — the base self-copy is free, explicit messages
-    /// are not. Mirrors the dense row's `contribution`.
-    fn contribution(&self, arena: &[Slot<M>], me: u32, r: u32) -> (bool, usize) {
-        let via_base = !self.deviated || self.dev(arena, r).is_none();
-        match self.effective(arena, r) {
-            None => (false, 0),
-            Some(m) => {
-                if via_base && r == me {
-                    (false, 0)
-                } else {
-                    (true, m.bit_size())
-                }
-            }
+    /// What receiver `r` gets from this row, as the counters see it.
+    fn held(&self, arena: &[Slot<M>], r: u32) -> Held {
+        match (
+            self.deviated.then(|| self.dev(arena, r)).flatten(),
+            &self.base,
+        ) {
+            (Some(SparseCell::Msg(m)), _) => Held::Explicit(m.bit_size()),
+            (Some(SparseCell::Knocked), _) | (None, None) => Held::Nothing,
+            (None, Some(base)) => Held::Base(base.bit_size()),
         }
     }
 
-    /// The exact row maximum, rescanning the row's cells if a removal
-    /// dirtied the cached value. The result is *not* memoized (see the
-    /// module docs).
-    fn current_max(&self, arena: &[Slot<M>], n: usize) -> usize {
-        if !self.max_dirty {
-            return self.max_bits;
-        }
+    /// The largest message the row delivers now: the walk a dirty row's
+    /// maximum is rescanned with.
+    fn max_bits(&self, arena: &[Slot<M>], n: usize) -> usize {
         // The base is still reachable iff some receiver has no explicit
         // deviation cell — the sparse mirror of the dense "lane has any
         // Inherit" check.
@@ -264,7 +235,7 @@ fn list_remove(list: &mut Vec<u32>, v: u32) {
 /// layout, complexity, and the semantics contract.
 #[derive(Debug, Clone)]
 pub struct SparseMailbox<M> {
-    n: usize,
+    pub(crate) n: usize,
     rows: Vec<SparseRow<M>>,
     /// Every row's deviation cells, each row one `(start, len, cap)`
     /// range.
@@ -282,20 +253,17 @@ pub struct SparseMailbox<M> {
     /// `(sender, arena slot)` per deviation cell, receiver-major and
     /// ascending by sender within each receiver.
     index: Vec<(u32, u32)>,
-    /// Whether `offsets`/`index` describe the current cells; every
-    /// mutation clears it.
+    /// Whether `offsets`/`index` describe the current cells; every write
+    /// to a row (`clear_row`, `put_dev`, the merge) clears it.
     indexed: bool,
-    count: usize,
-    bits: usize,
-    max_cache: usize,
-    max_dirty: bool,
+    traffic: Traffic,
     /// Pooled scratch for `merge_broadcast_except`'s sorted-list merge.
     merge_scratch: Vec<(u32, SparseCell<M>)>,
 }
 
 impl<M> Default for SparseMailbox<M> {
     /// An empty zero-node mailbox — the pooling placeholder. Call
-    /// [`SparseMailbox::reset`] to size it before use.
+    /// [`MessagePlane::reset`] to size it before use.
     fn default() -> Self {
         SparseMailbox {
             n: 0,
@@ -307,10 +275,7 @@ impl<M> Default for SparseMailbox<M> {
             offsets: Vec::new(),
             index: Vec::new(),
             indexed: false,
-            count: 0,
-            bits: 0,
-            max_cache: 0,
-            max_dirty: false,
+            traffic: Traffic::default(),
             merge_scratch: Vec::new(),
         }
     }
@@ -324,65 +289,10 @@ impl<M: Message> SparseMailbox<M> {
         mb
     }
 
-    /// Empties the mailbox and (re)sizes it for an `n`-node network,
-    /// retaining every allocation (rows, arena, indices) so pooled
-    /// mailboxes allocate nothing per round after warm-up.
-    pub fn reset(&mut self, n: usize) {
-        self.rows.truncate(n);
-        for row in &mut self.rows {
-            // Skip rows untouched since the last reset: after warm-up a
-            // sparse round clears only the rows it actually used.
-            if row.base.is_some() || row.deviated || row.count != 0 || row.cap != 0 {
-                *row = SparseRow::default();
-            }
-        }
-        self.rows.resize_with(n, SparseRow::default);
-        self.arena.clear();
-        self.tail_sender = 0;
-        self.in_order = true;
-        self.base_senders.clear();
-        self.indexed = false;
-        self.n = n;
-        self.count = 0;
-        self.bits = 0;
-        self.max_cache = 0;
-        self.max_dirty = false;
-    }
-
-    /// Number of nodes in the network.
-    pub fn n(&self) -> usize {
-        self.n
-    }
-
-    /// Subtracts row `me` from the global counters, invalidates the
-    /// receiver index, and returns the row's exact current maximum;
-    /// pair with [`SparseMailbox::end_edit`].
-    fn begin_edit(&mut self, me: usize) -> usize {
-        self.indexed = false;
-        let row = &self.rows[me];
-        self.count -= row.count;
-        self.bits -= row.bits;
-        row.current_max(&self.arena, self.n)
-    }
-
-    /// Adds row `me` back into the global counters, propagating the
-    /// dense plane's dirty-flag rule: a row whose maximum may have
-    /// shrunk (or is only an upper bound) dirties the global cache.
-    fn end_edit(&mut self, me: usize, old_max: usize) {
-        let row = &self.rows[me];
-        self.count += row.count;
-        self.bits += row.bits;
-        if row.max_dirty || row.max_bits < old_max {
-            self.max_dirty = true;
-        } else if !self.max_dirty {
-            self.max_cache = self.max_cache.max(row.max_bits);
-        }
-    }
-
-    /// Empties row `me` (keeping its arena range as slack) and
-    /// deregisters its base. Must run inside a `begin_edit`/`end_edit`
-    /// pair.
+    /// Empties row `me`'s storage (keeping its arena range as slack) and
+    /// deregisters its base.
     fn clear_row(&mut self, me: usize) {
+        self.indexed = false;
         let row = &mut self.rows[me];
         if row.base.is_some() {
             list_remove(&mut self.base_senders, me as u32);
@@ -394,10 +304,6 @@ impl<M: Message> SparseMailbox<M> {
         row.len = 0;
         row.base = None;
         row.deviated = false;
-        row.count = 0;
-        row.bits = 0;
-        row.max_bits = 0;
-        row.max_dirty = false;
     }
 
     /// Records that row `me` appends at the arena tail; an append after
@@ -460,6 +366,7 @@ impl<M: Message> SparseMailbox<M> {
     /// Installs (or replaces) receiver `r`'s deviation cell in row `me`.
     /// Returns the replaced cell, if any.
     fn put_dev(&mut self, me: usize, r: u32, cell: SparseCell<M>) -> Option<SparseCell<M>> {
+        self.indexed = false;
         let row = &self.rows[me];
         match row.dev_index(&self.arena, r) {
             Ok(i) => {
@@ -473,395 +380,10 @@ impl<M: Message> SparseMailbox<M> {
         }
     }
 
-    /// Installs `emission` as `sender`'s contribution, replacing
-    /// whatever was there.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or any per-recipient receiver is out of range.
-    pub fn set(&mut self, sender: NodeId, emission: Emission<M>) {
-        let me = sender.index();
-        match emission {
-            Emission::Silent => self.silence(sender),
-            Emission::Broadcast(m) => {
-                let old_max = self.begin_edit(me);
-                self.clear_row(me);
-                let bs = m.bit_size();
-                let row = &mut self.rows[me];
-                row.count = self.n.saturating_sub(1);
-                row.bits = bs * row.count;
-                row.max_bits = bs;
-                row.base = Some(m);
-                list_insert(&mut self.base_senders, me as u32);
-                self.end_edit(me, old_max);
-            }
-            Emission::PerRecipient(v) => {
-                if v.is_empty() {
-                    self.silence(sender);
-                    return;
-                }
-                let old_max = self.begin_edit(me);
-                self.clear_row(me);
-                self.rows[me].deviated = true;
-                // Room for every entry up front; duplicates leave slack.
-                self.reserve(me, v.len());
-                for (to, m) in v {
-                    // Later entries override earlier ones, exactly as
-                    // in the dense plane (including its lazy rescan of
-                    // an overridden duplicate's maximum).
-                    let bs = m.bit_size();
-                    assert!(to.index() < self.n, "recipient out of range");
-                    match self.put_dev(me, to.raw(), SparseCell::Msg(m)) {
-                        None | Some(SparseCell::Knocked) => {
-                            let row = &mut self.rows[me];
-                            row.count += 1;
-                            row.bits += bs;
-                        }
-                        Some(SparseCell::Msg(old)) => {
-                            let row = &mut self.rows[me];
-                            row.bits += bs;
-                            row.bits -= old.bit_size();
-                            row.max_dirty = true;
-                        }
-                    }
-                    let row = &mut self.rows[me];
-                    row.max_bits = row.max_bits.max(bs);
-                }
-                self.end_edit(me, old_max);
-            }
-        }
-    }
-
-    /// Removes `sender`'s contribution entirely.
-    pub fn silence(&mut self, sender: NodeId) {
-        let me = sender.index();
-        let old_max = self.begin_edit(me);
-        self.clear_row(me);
-        self.end_edit(me, old_max);
-    }
-
-    /// Installs a broadcast of `msg` from `sender` that skips the
-    /// receivers in `except` — one shared copy plus O(|except|) knocked
-    /// cells. Duplicate entries in `except` are tolerated; `sender`'s
-    /// free self-copy is unaffected unless explicitly listed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or any entry of `except` is out of range.
-    pub fn set_broadcast_except(&mut self, sender: NodeId, msg: M, except: &[u32]) {
-        let me = sender.index();
-        if except.is_empty() {
-            return self.set(sender, Emission::Broadcast(msg));
-        }
-        let old_max = self.begin_edit(me);
-        self.clear_row(me);
-        let bs = msg.bit_size();
-        {
-            let row = &mut self.rows[me];
-            row.deviated = true;
-            row.max_bits = bs;
-            row.count = self.n.saturating_sub(1);
-        }
-        for &r in except {
-            assert!((r as usize) < self.n, "except receiver out of range");
-            if self.put_dev(me, r, SparseCell::Knocked).is_none() && r as usize != me {
-                self.rows[me].count -= 1;
-            }
-        }
-        let row = &mut self.rows[me];
-        row.bits = bs * row.count;
-        row.base = Some(msg);
-        list_insert(&mut self.base_senders, me as u32);
-        self.end_edit(me, old_max);
-    }
-
-    /// Layers a broadcast of `msg` from `sender` *under* the row's
-    /// existing point-to-point messages: receivers with no message and
-    /// no `except` entry now inherit the shared base; receivers that
-    /// already hold a message keep it and are appended to `conflicts`
-    /// (ascending). `except` must be sorted ascending (duplicates are
-    /// tolerated); the row must not already hold a broadcast base.
-    ///
-    /// Cost: O(|devs| + |except|) — a sorted merge of the row's cells
-    /// with the except list through pooled scratch, never an O(n) walk
-    /// and no allocation after warm-up.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or any entry of `except` is out of range, or
-    /// if the row already has a base.
-    pub fn merge_broadcast_except(
-        &mut self,
-        sender: NodeId,
-        msg: M,
-        except: &[u32],
-        conflicts: &mut Vec<u32>,
-    ) {
-        let me = sender.index();
-        debug_assert!(except.windows(2).all(|w| w[0] <= w[1]), "except not sorted");
-        if let Some(&r) = except.last() {
-            assert!((r as usize) < self.n, "except receiver out of range");
-        }
-        let old_max = self.begin_edit(me);
-        assert!(
-            self.rows[me].base.is_none(),
-            "merge_broadcast_except over an existing broadcast base"
-        );
-        // Merge the row's (sorted) cells with the (sorted) except list
-        // into pooled scratch: existing cells keep their state (a
-        // knocked `except` hit silences a conflict report, exactly as in
-        // the dense walk), fresh except hits become Knocked.
-        let mut scratch = std::mem::take(&mut self.merge_scratch);
-        debug_assert!(scratch.is_empty());
-        let mut k = 0usize;
-        let (start, len) = (self.rows[me].start as usize, self.rows[me].len as usize);
-        for slot in &mut self.arena[start..start + len] {
-            let Slot {
-                receiver: r, cell, ..
-            } = std::mem::replace(slot, Slot::vacant());
-            while k < except.len() && except[k] < r {
-                let e = except[k];
-                while k < except.len() && except[k] == e {
-                    k += 1;
-                }
-                scratch.push((e, SparseCell::Knocked));
-            }
-            let mut is_knocked = false;
-            while k < except.len() && except[k] == r {
-                is_knocked = true;
-                k += 1;
-            }
-            if matches!(cell, SparseCell::Msg(_)) && !is_knocked {
-                conflicts.push(r);
-            }
-            scratch.push((r, cell));
-        }
-        while k < except.len() {
-            let e = except[k];
-            while k < except.len() && except[k] == e {
-                k += 1;
-            }
-            scratch.push((e, SparseCell::Knocked));
-        }
-        // Write the merged cells back; the old ones are already vacated,
-        // so a relocation moves nothing.
-        let merged = scratch.len();
-        self.rows[me].len = 0;
-        self.reserve(me, merged);
-        let start = self.rows[me].start as usize;
-        let me_u32 = me as u32;
-        let mut me_inherits = true;
-        for (slot, (r, cell)) in self.arena[start..].iter_mut().zip(scratch.drain(..)) {
-            me_inherits &= r != me_u32;
-            *slot = Slot {
-                sender: me_u32,
-                receiver: r,
-                cell,
-            };
-        }
-        self.merge_scratch = scratch;
-        // Receivers that now inherit the base: everyone without an
-        // explicit cell, minus the sender's free self-copy.
-        let row = &mut self.rows[me];
-        row.len = merged as u32;
-        row.deviated = true;
-        let inherited = self.n - merged - usize::from(me_inherits);
-        let bs = msg.bit_size();
-        row.count += inherited;
-        row.bits += inherited * bs;
-        row.max_bits = row.max_bits.max(bs);
-        row.base = Some(msg);
-        list_insert(&mut self.base_senders, me_u32);
-        self.end_edit(me, old_max);
-    }
-
-    /// Whether row `me` carries nothing at all (not even a self-copy).
-    fn is_silent_row(&self, me: usize) -> bool {
-        let row = &self.rows[me];
-        row.count == 0 && row.effective(&self.arena, me as u32).is_none()
-    }
-
-    /// Adds a single point-to-point message, merging with whatever
-    /// `sender` already has in this mailbox; an existing message for
-    /// the same pair is replaced, other receivers of a broadcast keep
-    /// the shared copy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or `receiver` is out of range.
-    pub fn insert(&mut self, sender: NodeId, receiver: NodeId, m: M) {
-        let me = sender.index();
-        let r = receiver.raw();
-        assert!((r as usize) < self.n, "receiver out of range");
-        let old_max = self.begin_edit(me);
-        self.rows[me].deviated = true;
-        let (counted, old_bits) = self.rows[me].contribution(&self.arena, me as u32, r);
-        let bs = m.bit_size();
-        self.put_dev(me, r, SparseCell::Msg(m));
-        let row = &mut self.rows[me];
-        if counted {
-            row.bits -= old_bits;
-            row.count -= 1;
-            if old_bits >= bs && old_bits == row.max_bits {
-                row.max_dirty = true;
-            }
-        }
-        row.count += 1;
-        row.bits += bs;
-        row.max_bits = row.max_bits.max(bs);
-        self.end_edit(me, old_max);
-    }
-
-    /// Inserts `m` at `(sender, receiver)` only if no message occupies
-    /// that pair, returning `None` on success and handing `m` back when
-    /// the link is busy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or `receiver` is out of range.
-    pub fn insert_if_vacant(&mut self, sender: NodeId, receiver: NodeId, m: M) -> Option<M> {
-        let mut m = Some(m);
-        let inserted =
-            self.insert_if_vacant_with(sender, receiver, || m.take().expect("built once"));
-        debug_assert_eq!(inserted, m.is_none());
-        m
-    }
-
-    /// Like [`SparseMailbox::insert_if_vacant`], but builds the message
-    /// with `make` only when the pair is actually vacant. Returns
-    /// whether the message was installed. The flight queue's drain
-    /// primitive ([`MessagePlane::insert_group_if_vacant`]) calls it once
-    /// per receiver of a group: one sorted-list probe decides *and*
-    /// installs, with no row rescan — a pure add can never lower a row
-    /// maximum, so the incremental counter update is exact (the same
-    /// direct path the dense plane takes).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sender` or `receiver` is out of range.
-    pub fn insert_if_vacant_with(
-        &mut self,
-        sender: NodeId,
-        receiver: NodeId,
-        make: impl FnOnce() -> M,
-    ) -> bool {
-        let me = sender.index();
-        let r = receiver.raw();
-        assert!((r as usize) < self.n, "receiver out of range");
-        let row = &self.rows[me];
-        if !row.deviated && row.base.is_some() {
-            return false; // pure broadcast: every pair is occupied
-        }
-        match row.dev(&self.arena, r) {
-            Some(SparseCell::Msg(_)) => return false,
-            None if row.base.is_some() => return false,
-            None | Some(SparseCell::Knocked) => {}
-        }
-        // Vacant: an explicit message always counts (even a self-copy).
-        self.indexed = false;
-        let m = make();
-        let bs = m.bit_size();
-        self.rows[me].deviated = true;
-        self.put_dev(me, r, SparseCell::Msg(m));
-        let row = &mut self.rows[me];
-        row.count += 1;
-        row.bits += bs;
-        row.max_bits = row.max_bits.max(bs);
-        let row_max = row.max_bits;
-        self.count += 1;
-        self.bits += bs;
-        if !self.max_dirty {
-            self.max_cache = self.max_cache.max(row_max);
-        }
-        true
-    }
-
-    /// Removes and returns `sender`'s *pure* broadcast message, leaving
-    /// the row silent; `None` for any other row shape.
-    pub fn take_broadcast(&mut self, sender: NodeId) -> Option<M> {
-        let me = sender.index();
-        if self.rows[me].deviated || self.rows[me].base.is_none() {
-            return None;
-        }
-        let old_max = self.begin_edit(me);
-        let taken = self.rows[me].base.take();
-        list_remove(&mut self.base_senders, me as u32);
-        self.clear_row(me);
-        self.end_edit(me, old_max);
-        taken
-    }
-
-    /// The row's shared broadcast base, if any — present even when
-    /// receivers have been knocked out or overridden.
-    pub fn broadcast_base(&self, sender: NodeId) -> Option<&M> {
-        self.rows[sender.index()].base.as_ref()
-    }
-
-    /// The broadcast message of `sender`, if it (purely) broadcast.
-    pub fn broadcast_of(&self, sender: NodeId) -> Option<&M> {
-        let row = &self.rows[sender.index()];
-        if row.deviated {
-            None
-        } else {
-            row.base.as_ref()
-        }
-    }
-
-    /// Whether `sender` sent nothing at all (to anyone, itself
-    /// included).
-    pub fn is_silent(&self, sender: NodeId) -> bool {
-        self.is_silent_row(sender.index())
-    }
-
     /// The message `receiver` gets from `sender` this round, if any —
     /// resolved from the sender's row, so it needs no receiver index.
     pub fn resolve(&self, sender: NodeId, receiver: NodeId) -> Option<&M> {
         self.rows[sender.index()].effective(&self.arena, receiver.raw())
-    }
-
-    /// Builds the receiver-major index the inbox reads use: a counting
-    /// sort of the arena's live slots by receiver, O(n + arena slots),
-    /// allocation-free after warm-up. A no-op while the index is
-    /// current; any mutation invalidates it.
-    pub fn build_inbox_index(&mut self) {
-        if self.indexed {
-            return;
-        }
-        let n = self.n;
-        self.offsets.clear();
-        self.offsets.resize(n + 1, 0);
-        let mut live = 0usize;
-        for slot in &self.arena {
-            if slot.sender != VACANT {
-                self.offsets[slot.receiver as usize + 1] += 1;
-                live += 1;
-            }
-        }
-        for r in 0..n {
-            self.offsets[r + 1] += self.offsets[r];
-        }
-        self.index.clear();
-        self.index.resize(live, (0, 0));
-        // `offsets[r]` serves as receiver r's write cursor and ends at
-        // the start of r + 1; shifting by one slot restores the starts.
-        for (i, slot) in self.arena.iter().enumerate() {
-            if slot.sender != VACANT {
-                let cursor = &mut self.offsets[slot.receiver as usize];
-                self.index[*cursor as usize] = (slot.sender, i as u32);
-                *cursor += 1;
-            }
-        }
-        self.offsets.copy_within(0..n, 1);
-        self.offsets[0] = 0;
-        if !self.in_order {
-            // A relocated row broke the arena's sender order; each
-            // receiver's senders are distinct, so the sort is exact.
-            for r in 0..n {
-                let (a, b) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
-                self.index[a..b].sort_unstable_by_key(|e| e.0);
-            }
-        }
-        self.indexed = true;
     }
 
     /// Receiver `r`'s `(sender, slot)` index entries.
@@ -869,7 +391,7 @@ impl<M: Message> SparseMailbox<M> {
     /// # Panics
     ///
     /// Panics if the index is stale (see
-    /// [`SparseMailbox::build_inbox_index`]).
+    /// [`MessagePlane::build_inbox_index`]).
     fn index_of(&self, r: NodeId) -> &[(u32, u32)] {
         assert!(
             self.indexed,
@@ -877,13 +399,6 @@ impl<M: Message> SparseMailbox<M> {
         );
         let r = r.index();
         &self.index[self.offsets[r] as usize..self.offsets[r + 1] as usize]
-    }
-
-    /// Zero-allocation view of all messages addressed to `receiver`.
-    /// Reading it needs a current receiver index (see
-    /// [`SparseMailbox::build_inbox_index`]).
-    pub fn inbox(&self, receiver: NodeId) -> Inbox<'_, M> {
-        Inbox::sparse(self, receiver)
     }
 
     /// Iterates `(sender, message)` pairs addressed to `receiver` in
@@ -920,30 +435,6 @@ impl<M: Message> SparseMailbox<M> {
             Err(_) if self.base_senders.is_empty() => None,
             Err(_) => self.rows[sender.index()].base.as_ref(),
         }
-    }
-
-    /// Total point-to-point messages generated this round. O(1).
-    pub fn message_count(&self) -> usize {
-        self.count
-    }
-
-    /// Total bits on the wire this round. O(1).
-    pub fn total_bits(&self) -> usize {
-        self.bits
-    }
-
-    /// The largest message crossing any single edge this round, in
-    /// bits. O(1) unless a mutation lowered a row maximum since the
-    /// last full write, in which case the touched rows are rescanned.
-    pub fn max_edge_bits(&self) -> usize {
-        if !self.max_dirty {
-            return self.max_cache;
-        }
-        self.rows
-            .iter()
-            .map(|row| row.current_max(&self.arena, self.n))
-            .max()
-            .unwrap_or(0)
     }
 }
 
@@ -1012,45 +503,135 @@ impl<'a, M: Message> Iterator for SparseInboxIter<'a, M> {
 
 impl<M: Message> MessagePlane<M> for SparseMailbox<M> {
     fn reset(&mut self, n: usize) {
-        SparseMailbox::reset(self, n);
+        self.rows.truncate(n);
+        for row in &mut self.rows {
+            // Skip rows untouched since the last reset: after warm-up a
+            // sparse round clears only the rows it actually used.
+            if row.base.is_some() || row.deviated || row.cap != 0 {
+                *row = SparseRow::default();
+            }
+        }
+        self.rows.resize_with(n, SparseRow::default);
+        self.arena.clear();
+        self.tail_sender = 0;
+        self.in_order = true;
+        self.base_senders.clear();
+        self.indexed = false;
+        self.n = n;
+        self.traffic.reset(n);
     }
 
     fn n(&self) -> usize {
-        SparseMailbox::n(self)
+        self.n
     }
 
     fn set(&mut self, sender: NodeId, emission: Emission<M>) {
-        SparseMailbox::set(self, sender, emission);
+        let me = sender.index();
+        match emission {
+            Emission::Silent => self.silence(sender),
+            Emission::Broadcast(m) => {
+                let bits = m.bit_size();
+                self.clear_row(me);
+                self.rows[me].base = Some(m);
+                list_insert(&mut self.base_senders, me as u32);
+                self.traffic
+                    .fold(me, RowTraffic::broadcast(self.n, 0, bits));
+            }
+            Emission::PerRecipient(v) => {
+                if v.is_empty() {
+                    return self.silence(sender);
+                }
+                self.clear_row(me);
+                self.rows[me].deviated = true;
+                // Room for every entry up front; duplicates leave slack.
+                self.reserve(me, v.len());
+                let mut traffic = RowTraffic::default();
+                for (to, m) in v {
+                    let bits = m.bit_size();
+                    assert!(to.index() < self.n, "recipient out of range");
+                    match self.put_dev(me, to.raw(), SparseCell::Msg(m)) {
+                        None | Some(SparseCell::Knocked) => traffic.add(1, bits),
+                        Some(SparseCell::Msg(old)) => traffic.supersede(old.bit_size(), bits),
+                    }
+                }
+                self.traffic.fold(me, traffic);
+            }
+        }
     }
 
     fn silence(&mut self, sender: NodeId) {
-        SparseMailbox::silence(self, sender);
+        let me = sender.index();
+        self.clear_row(me);
+        self.traffic.fold(me, RowTraffic::default());
     }
 
     fn insert(&mut self, sender: NodeId, receiver: NodeId, m: M) {
-        SparseMailbox::insert(self, sender, receiver, m);
+        let me = sender.index();
+        let r = receiver.raw();
+        assert!((r as usize) < self.n, "receiver out of range");
+        let held = self.rows[me].held(&self.arena, r);
+        let bits = m.bit_size();
+        self.rows[me].deviated = true;
+        self.put_dev(me, r, SparseCell::Msg(m));
+        self.traffic.replace(me, r as usize, held, bits);
     }
 
-    fn insert_if_vacant(&mut self, sender: NodeId, receiver: NodeId, m: M) -> Option<M> {
-        SparseMailbox::insert_if_vacant(self, sender, receiver, m)
-    }
-
+    /// One sorted-list probe per receiver decides *and* installs; the
+    /// counters take the pure-add path once for the whole group.
     fn insert_group_if_vacant(&mut self, sender: NodeId, receivers: &mut [u32], msg: &M) -> usize {
+        let me = sender.index();
+        let row = &self.rows[me];
+        if !row.deviated && row.base.is_some() {
+            return 0; // a pure broadcast: every pair is occupied
+        }
+        let has_base = row.base.is_some();
         let mut busy = 0;
         for i in 0..receivers.len() {
             let r = receivers[i];
-            if !self.insert_if_vacant_with(sender, NodeId::new(r), || msg.clone()) {
+            assert!((r as usize) < self.n, "receiver out of range");
+            let vacant = match self.rows[me].dev(&self.arena, r) {
+                Some(SparseCell::Msg(_)) => false,
+                Some(SparseCell::Knocked) => true,
+                None => !has_base,
+            };
+            if vacant {
+                self.rows[me].deviated = true;
+                self.put_dev(me, r, SparseCell::Msg(msg.clone()));
+            } else {
                 receivers[busy] = r;
                 busy += 1;
             }
         }
-        receivers.len() - busy
+        let installed = receivers.len() - busy;
+        self.traffic.add(me, installed, msg.bit_size());
+        installed
     }
 
+    /// One shared copy plus O(|except|) knocked cells.
     fn set_broadcast_except(&mut self, sender: NodeId, msg: M, except: &[u32]) {
-        SparseMailbox::set_broadcast_except(self, sender, msg, except);
+        let me = sender.index();
+        if except.is_empty() {
+            return self.set(sender, Emission::Broadcast(msg));
+        }
+        self.clear_row(me);
+        self.rows[me].deviated = true;
+        let mut knocked = 0;
+        for &r in except {
+            assert!((r as usize) < self.n, "except receiver out of range");
+            if self.put_dev(me, r, SparseCell::Knocked).is_none() {
+                knocked += usize::from(r as usize != me);
+            }
+        }
+        let bits = msg.bit_size();
+        self.rows[me].base = Some(msg);
+        list_insert(&mut self.base_senders, me as u32);
+        self.traffic
+            .fold(me, RowTraffic::broadcast(self.n, knocked, bits));
     }
 
+    /// Cost: O(|devs| + |except|) — a sorted merge of the row's cells
+    /// with the except list through pooled scratch, never an O(n) walk
+    /// and no allocation after warm-up.
     fn merge_broadcast_except(
         &mut self,
         sender: NodeId,
@@ -1058,19 +639,105 @@ impl<M: Message> MessagePlane<M> for SparseMailbox<M> {
         except: &[u32],
         conflicts: &mut Vec<u32>,
     ) {
-        SparseMailbox::merge_broadcast_except(self, sender, msg, except, conflicts);
+        let me = sender.index();
+        debug_assert!(except.windows(2).all(|w| w[0] <= w[1]), "except not sorted");
+        if let Some(&r) = except.last() {
+            assert!((r as usize) < self.n, "except receiver out of range");
+        }
+        assert!(
+            self.rows[me].base.is_none(),
+            "merge_broadcast_except over an existing broadcast base"
+        );
+        self.indexed = false;
+        // Merge the row's (sorted) cells with the (sorted) except list
+        // into pooled scratch: existing cells keep their state (a
+        // knocked `except` hit silences a conflict report, exactly as in
+        // the dense walk), fresh except hits become Knocked.
+        let mut scratch = std::mem::take(&mut self.merge_scratch);
+        debug_assert!(scratch.is_empty());
+        let mut k = 0usize;
+        let (start, len) = (self.rows[me].start as usize, self.rows[me].len as usize);
+        for slot in &mut self.arena[start..start + len] {
+            let Slot {
+                receiver: r, cell, ..
+            } = std::mem::replace(slot, Slot::vacant());
+            while k < except.len() && except[k] < r {
+                let e = except[k];
+                while k < except.len() && except[k] == e {
+                    k += 1;
+                }
+                scratch.push((e, SparseCell::Knocked));
+            }
+            let mut is_knocked = false;
+            while k < except.len() && except[k] == r {
+                is_knocked = true;
+                k += 1;
+            }
+            if matches!(cell, SparseCell::Msg(_)) && !is_knocked {
+                conflicts.push(r);
+            }
+            scratch.push((r, cell));
+        }
+        while k < except.len() {
+            let e = except[k];
+            while k < except.len() && except[k] == e {
+                k += 1;
+            }
+            scratch.push((e, SparseCell::Knocked));
+        }
+        // Write the merged cells back; the old ones are already vacated,
+        // so a relocation moves nothing.
+        let merged = scratch.len();
+        self.rows[me].len = 0;
+        self.reserve(me, merged);
+        let start = self.rows[me].start as usize;
+        let me_u32 = me as u32;
+        let mut me_inherits = true;
+        for (slot, (r, cell)) in self.arena[start..].iter_mut().zip(scratch.drain(..)) {
+            me_inherits &= r != me_u32;
+            *slot = Slot {
+                sender: me_u32,
+                receiver: r,
+                cell,
+            };
+        }
+        self.merge_scratch = scratch;
+        // Receivers that now inherit the base: everyone without an
+        // explicit cell, minus the sender's free self-copy.
+        let row = &mut self.rows[me];
+        row.len = merged as u32;
+        row.deviated = true;
+        let inherited = self.n - merged - usize::from(me_inherits);
+        let mut traffic = self.traffic.row(me);
+        traffic.add(inherited, msg.bit_size());
+        row.base = Some(msg);
+        list_insert(&mut self.base_senders, me_u32);
+        self.traffic.fold(me, traffic);
     }
 
     fn take_broadcast(&mut self, sender: NodeId) -> Option<M> {
-        SparseMailbox::take_broadcast(self, sender)
+        let me = sender.index();
+        if self.rows[me].deviated {
+            return None;
+        }
+        let taken = self.rows[me].base.take()?;
+        list_remove(&mut self.base_senders, me as u32);
+        self.clear_row(me);
+        self.traffic.fold(me, RowTraffic::default());
+        Some(taken)
     }
 
     fn broadcast_base(&self, sender: NodeId) -> Option<&M> {
-        SparseMailbox::broadcast_base(self, sender)
+        self.rows[sender.index()].base.as_ref()
     }
 
     fn broadcast_of(&self, sender: NodeId) -> Option<&M> {
-        SparseMailbox::broadcast_of(self, sender)
+        let row = &self.rows[sender.index()];
+        if row.deviated {
+            None
+        } else {
+            row.base.as_ref()
+        }
     }
 
     fn resolve_value(&self, sender: NodeId, receiver: NodeId) -> Option<M> {
@@ -1079,10 +746,6 @@ impl<M: Message> MessagePlane<M> for SparseMailbox<M> {
 
     fn has_message(&self, sender: NodeId, receiver: NodeId) -> bool {
         self.resolve(sender, receiver).is_some()
-    }
-
-    fn is_silent(&self, sender: NodeId) -> bool {
-        SparseMailbox::is_silent(self, sender)
     }
 
     fn deviations(&self, sender: NodeId) -> impl Iterator<Item = (NodeId, Option<M>)> + '_ {
@@ -1101,29 +764,69 @@ impl<M: Message> MessagePlane<M> for SparseMailbox<M> {
         })
     }
 
+    /// A counting sort of the arena's live slots by receiver, O(n +
+    /// arena slots), allocation-free after warm-up; a no-op while the
+    /// index is current.
     fn build_inbox_index(&mut self) {
-        SparseMailbox::build_inbox_index(self);
+        if self.indexed {
+            return;
+        }
+        let n = self.n;
+        self.offsets.clear();
+        self.offsets.resize(n + 1, 0);
+        let mut live = 0usize;
+        for slot in &self.arena {
+            if slot.sender != VACANT {
+                self.offsets[slot.receiver as usize + 1] += 1;
+                live += 1;
+            }
+        }
+        for r in 0..n {
+            self.offsets[r + 1] += self.offsets[r];
+        }
+        self.index.clear();
+        self.index.resize(live, (0, 0));
+        // `offsets[r]` serves as receiver r's write cursor and ends at
+        // the start of r + 1; shifting by one slot restores the starts.
+        for (i, slot) in self.arena.iter().enumerate() {
+            if slot.sender != VACANT {
+                let cursor = &mut self.offsets[slot.receiver as usize];
+                self.index[*cursor as usize] = (slot.sender, i as u32);
+                *cursor += 1;
+            }
+        }
+        self.offsets.copy_within(0..n, 1);
+        self.offsets[0] = 0;
+        if !self.in_order {
+            // A relocated row broke the arena's sender order; each
+            // receiver's senders are distinct, so the sort is exact.
+            for r in 0..n {
+                let (a, b) = (self.offsets[r] as usize, self.offsets[r + 1] as usize);
+                self.index[a..b].sort_unstable_by_key(|e| e.0);
+            }
+        }
+        self.indexed = true;
     }
 
     fn inbox(&self, receiver: NodeId) -> Inbox<'_, M> {
-        SparseMailbox::inbox(self, receiver)
+        Inbox::sparse(self, receiver)
     }
 
     fn message_count(&self) -> usize {
-        SparseMailbox::message_count(self)
+        self.traffic.message_count()
     }
 
     fn total_bits(&self) -> usize {
-        SparseMailbox::total_bits(self)
+        self.traffic.total_bits()
     }
 
     fn max_edge_bits(&self) -> usize {
-        SparseMailbox::max_edge_bits(self)
+        self.traffic
+            .max_edge_bits(|s| self.rows[s].max_bits(&self.arena, self.n))
     }
 
     fn row_traffic(&self, sender: NodeId) -> (usize, usize) {
-        let row = &self.rows[sender.index()];
-        (row.count, row.bits)
+        self.traffic.row_traffic(sender.index())
     }
 }
 
@@ -1139,7 +842,7 @@ mod tests {
         }
     }
 
-    /// Variable-size message, for max-edge-bits recovery tests.
+    /// Variable-size message, for the override test.
     #[derive(Debug, Clone, PartialEq, Eq)]
     struct Var(usize);
     impl Message for Var {
@@ -1209,20 +912,6 @@ mod tests {
     }
 
     #[test]
-    fn max_edge_bits_recovers_after_removals() {
-        let mut mb = SparseMailbox::new(4);
-        mb.insert(id(0), id(1), Var(32));
-        mb.insert(id(1), id(2), Var(8));
-        assert_eq!(mb.max_edge_bits(), 32);
-        mb.insert(id(0), id(1), Var(2)); // replaces the 32-bit maximum
-        assert_eq!(mb.max_edge_bits(), 8);
-        mb.silence(id(1));
-        assert_eq!(mb.max_edge_bits(), 2);
-        mb.silence(id(0));
-        assert_eq!(mb.max_edge_bits(), 0);
-    }
-
-    #[test]
     fn set_broadcast_except_skips_and_counts() {
         let mut mb = SparseMailbox::new(5);
         mb.set_broadcast_except(id(0), Tm(7), &[3, 1, 3]);
@@ -1270,19 +959,20 @@ mod tests {
         let mut mb = SparseMailbox::new(4);
         mb.set(id(0), Emission::Broadcast(Tm(7)));
         assert_eq!(
-            mb.insert_if_vacant(id(0), id(2), Tm(9)),
-            Some(Tm(9)),
+            mb.insert_group_if_vacant(id(0), &mut [2], &Tm(9)),
+            0,
             "pure broadcast occupies every pair"
         );
         mb.set_broadcast_except(id(0), Tm(7), &[2]);
         assert_eq!(
-            mb.insert_if_vacant(id(0), id(2), Tm(9)),
-            None,
+            mb.insert_group_if_vacant(id(0), &mut [2], &Tm(9)),
+            1,
             "knocked pair is vacant"
         );
         assert_eq!(mb.resolve(id(0), id(2)), Some(&Tm(9)));
-        assert_eq!(mb.insert_if_vacant(id(0), id(2), Tm(5)), Some(Tm(5)));
-        assert_eq!(mb.insert_if_vacant(id(1), id(3), Tm(4)), None);
+        assert_eq!(mb.insert_group_if_vacant(id(0), &mut [2], &Tm(5)), 0);
+        assert_eq!(mb.resolve(id(0), id(2)), Some(&Tm(9)));
+        assert_eq!(mb.insert_group_if_vacant(id(1), &mut [3], &Tm(4)), 1);
         assert_eq!(mb.resolve(id(1), id(3)), Some(&Tm(4)));
     }
 
@@ -1354,7 +1044,7 @@ mod tests {
         mb.set(id(3), Emission::PerRecipient(vec![(id(4), Tm(3))]));
         // Row 1 no longer ends the arena: growing it relocates it past
         // row 3, and row 0 lands after both.
-        assert_eq!(mb.insert_if_vacant(id(1), id(2), Tm(5)), None);
+        assert_eq!(mb.insert_group_if_vacant(id(1), &mut [2], &Tm(5)), 1);
         mb.insert(id(0), id(4), Tm(7));
         mb.build_inbox_index();
         let senders = |mb: &SparseMailbox<Tm>, r| -> Vec<(u32, Tm)> {

@@ -14,8 +14,8 @@
 //!   allocate O(messages) total, not O(n²) per round;
 //! * a pooled [`SparseMailbox`] at n = 65 536 driven through one whole
 //!   round of plane work — reset, per-recipient installs in sender
-//!   order, out-of-order `insert_if_vacant` and `merge_broadcast_except`
-//!   edits, the receiver-index build and every inbox read — must
+//!   order, out-of-order one-receiver `insert_group_if_vacant` and
+//!   `merge_broadcast_except` edits, the receiver-index build and every inbox read — must
 //!   allocate exactly nothing once one warm-up round has sized its
 //!   buffers.
 //!
@@ -120,7 +120,7 @@ fn sparse_plane_round(
     }
     for k in 0..64u32 {
         let s = k * 977 % n as u32;
-        plane.insert_if_vacant(NodeId::new(s), NodeId::new((s + 7) % n as u32), Ping);
+        plane.insert_group_if_vacant(NodeId::new(s), &mut [(s + 7) % n as u32], &Ping);
     }
     for s in [5u32, 40_000, 17] {
         conflicts.clear();

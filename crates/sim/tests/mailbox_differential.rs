@@ -6,10 +6,11 @@
 //! shares broadcast bases, stamps deviation lanes in a flat arena, and
 //! maintains counters incrementally. Seeded interleavings of the whole
 //! public mutation API (`set` broadcast / per-recipient / silent,
-//! `silence`, `insert`, `set_broadcast_except`, `take_broadcast`,
-//! `insert_if_vacant`) are replayed against both, each followed by an
-//! `insert_group_if_vacant` — the flight queue's drain primitive — on a
-//! random row, and every observable is compared after each step, across
+//! `silence`, `insert`, `set_broadcast_except`, `take_broadcast`, and
+//! `insert_group_if_vacant` with one receiver, the delivery stage's
+//! merge of a fresh point-to-point message) are replayed against both,
+//! each followed by a many-receiver `insert_group_if_vacant` — the
+//! flight queue's drain primitive — on a random row, and every observable is compared after each step, across
 //! n ∈ {1, 2, 17, 64}. (No proptest in this offline workspace — cases
 //! are drawn from a fixed-seed generator, so every run checks the
 //! identical sample.)
@@ -21,7 +22,7 @@
 
 mod common;
 
-use aba_sim::{Emission, Message, NodeId, RoundMailbox};
+use aba_sim::{Emission, Message, MessagePlane, NodeId, RoundMailbox};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -219,10 +220,8 @@ fn random_op(gen: &mut SmallRng, mb: &mut RoundMailbox<Tm>, rf: &mut Reference, 
         }
         _ => {
             let a = rf.insert_if_vacant(s as usize, r as usize, msg.clone());
-            let b = mb
-                .insert_if_vacant(NodeId::new(s), NodeId::new(r), msg)
-                .is_none();
-            assert_eq!(a, b, "insert_if_vacant disagrees for ({s}, {r})");
+            let b = mb.insert_group_if_vacant(NodeId::new(s), &mut [r], &msg) == 1;
+            assert_eq!(a, b, "one-receiver group install disagrees for ({s}, {r})");
         }
     }
 }

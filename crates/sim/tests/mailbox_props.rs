@@ -3,7 +3,7 @@
 //! under arbitrary traffic. (No proptest in this offline workspace —
 //! cases are drawn from a fixed-seed generator.)
 
-use aba_sim::{Emission, Message, NodeId, RoundMailbox};
+use aba_sim::{Emission, Message, MessagePlane, NodeId, RoundMailbox};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 

@@ -5,7 +5,8 @@
 //! interleavings of the *whole* mutation API (`set` broadcast /
 //! per-recipient / silent, `silence`, `insert`,
 //! `set_broadcast_except`, `merge_broadcast_except`, `take_broadcast`,
-//! `insert_if_vacant`, `insert_group_if_vacant`) against each and
+//! `insert_group_if_vacant` with one receiver and with many) against
+//! each and
 //! compares every observable after every step, across
 //! n ∈ {1, 2, 17, 64, 257} — mirroring `packed_differential.rs`. The
 //! generator deliberately also inserts messages equal to a live
@@ -143,9 +144,9 @@ fn apply_op(
             assert_eq!(a, b, "take_broadcast disagrees for sender {s}");
         }
         8 => {
-            let a = dense.insert_if_vacant(s, r, msg.clone());
-            let b = MessagePlane::insert_if_vacant(sparse, s, r, msg);
-            assert_eq!(a, b, "insert_if_vacant disagrees for ({s}, {r})");
+            let a = dense.insert_group_if_vacant(s, &mut [r.raw()], &msg);
+            let b = sparse.insert_group_if_vacant(s, &mut [r.raw()], &msg);
+            assert_eq!(a, b, "one-receiver group install disagrees for ({s}, {r})");
         }
         _ => {
             // A group install: a random receiver list starting at `r`

@@ -13,13 +13,16 @@
 //! stay under its heap bound:
 //!
 //! * 128 MiB for run, check, observe, replay and observe-replay;
-//! * 300 MiB for `provenance` and 576 MiB for `provenance_replay`
+//! * 240 MiB for `provenance` and 480 MiB for `provenance_replay`
 //!   (which holds two probes), whose causal closures are `n²` bits per
-//!   probe by design (about 225 MiB at this `n`). They measure 249.4 and
-//!   513.8 MiB, leaving 50 and 62 MiB of headroom; the arrival scan's
-//!   sender lists cost O(n + arrivals) a round, where a pair of `n`-bit
-//!   rows per dirty receiver (64 MiB a round here) put the two at 325.3
-//!   and 609.2 MiB, over these bounds.
+//!   probe by design. They measure 217.7 and 450.1 MiB, leaving 22 and
+//!   30 MiB of headroom. A frozen decision cone keeps two `n`-bit rows
+//!   per node, `anc` and `bad`, and its corrupted-ancestor count; a
+//!   third frozen row, the corruption set (32 MiB a probe here), put the
+//!   two at 249.4 and 513.8 MiB, over these bounds. Before that, the
+//!   arrival scan's pair of `n`-bit rows per dirty receiver (64 MiB a
+//!   round here, where its sender lists cost O(n + arrivals)) put them
+//!   at 325.3 and 609.2 MiB.
 //!
 //! Every bound sits at least 4× under one dense plane. The allocator
 //! also refuses any allocation that would take the live heap past
@@ -152,12 +155,12 @@ fn every_entry_point_stays_sparse_at_n_16384() {
     assert_eq!(observed.replayed, run, "observe_replay replayed");
 
     let (peak, traced) = peak_of(|| provenance_scenario(&s));
-    assert_under("provenance", peak, 300);
+    assert_under("provenance", peak, 240);
     assert_eq!(traced.result, run, "provenance");
     drop(traced);
 
     let (peak, traced) = peak_of(|| provenance_replay(&s));
-    assert_under("provenance_replay", peak, 576);
+    assert_under("provenance_replay", peak, 480);
     assert_eq!(traced.live, run, "provenance_replay live");
     assert_eq!(traced.replayed, run, "provenance_replay replayed");
 }
