@@ -912,6 +912,20 @@ mod tests {
     }
 
     #[test]
+    fn max_edge_bits_recovers_after_removals() {
+        let mut mb = SparseMailbox::new(4);
+        mb.insert(id(0), id(1), Var(32));
+        mb.insert(id(1), id(2), Var(8));
+        assert_eq!(mb.max_edge_bits(), 32);
+        mb.insert(id(0), id(1), Var(2)); // replaces the 32-bit maximum
+        assert_eq!(mb.max_edge_bits(), 8);
+        mb.silence(id(1));
+        assert_eq!(mb.max_edge_bits(), 2);
+        mb.silence(id(0));
+        assert_eq!(mb.max_edge_bits(), 0);
+    }
+
+    #[test]
     fn set_broadcast_except_skips_and_counts() {
         let mut mb = SparseMailbox::new(5);
         mb.set_broadcast_except(id(0), Tm(7), &[3, 1, 3]);
